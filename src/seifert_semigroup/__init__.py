@@ -36,7 +36,6 @@ from .laufer import (
     XSeries,
     dual_check,
     frobenius_module,
-    minimal_antinef_representative,
     scalars,
     to_antinef,
     x_series,
@@ -55,6 +54,7 @@ from .seifert import (
 )
 from .semigroup import (
     AperyData,
+    Link,
     PoincareData,
     SemigroupView,
     StronglyFlatReport,

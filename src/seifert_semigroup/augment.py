@@ -121,7 +121,7 @@ def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
     gamma_n = invariants(pair.augmented).gamma
     if gamma_n != inv.gamma + c / (-inv.e):
         failures.append("gamma of the augmented data does not match gamma + c/|e|")
-    if sf.b0 < sf.d and not c >= 1:
+    if not sf.trivial and not c >= 1:
         failures.append(f"c = {c} < 1 despite b0 < d")
     if n > inv.gamma - 1 + 2 / (-inv.e) and not c < 2:
         failures.append(f"c = {c} >= 2 for large n")
@@ -176,13 +176,12 @@ def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropC
 
 def _prop_comp_once(pair: AugmentedPair, bound: int) -> tuple[bool, str]:
     sf, aug = pair.base, pair.augmented
-    trivial = sf.b0 >= sf.d
     for ell in range(0, bound + 1):
         in_semigroup = quasilinear(sf, ell) >= 0
         in_module = quasilinear(aug, ell) >= -1
         if in_semigroup != in_module:
             return False, f"membership differs at ell = {ell} (n = {pair.n})"
-    if not trivial:
+    if not sf.trivial:
         try:
             f_module = laufer.frobenius_module(pair.augmented_graph)
         except RationalLinkError:

@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroup import apery_selmer, monoid_sieve
-from .seifert import QuasilinearTable, SeifertData, invariants
+from .semigroup import Link, monoid_sieve
+from .seifert import SeifertData, invariants, shared_factor_pair
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -55,14 +55,6 @@ class BHClassification:
     c: int | None = None
 
 
-def _pairwise_coprime(nums: Sequence[int]) -> bool:
-    for i in range(len(nums)):
-        for j in range(i + 1, len(nums)):
-            if math.gcd(nums[i], nums[j]) != 1:
-                return False
-    return True
-
-
 def classify(exponents: Sequence[int]) -> BHClassification:
     """Decide which of the two rational-homology-sphere shapes fits, if any."""
     a = tuple(int(x) for x in exponents)
@@ -76,7 +68,7 @@ def classify(exponents: Sequence[int]) -> BHClassification:
         m = math.gcd(a[i], a[j])
         rest = [a[k] for k in range(n) if k not in (i, j)]
         p = [a[i] // m, a[j] // m] + rest
-        if not _pairwise_coprime(p):
+        if shared_factor_pair(p):
             continue
         if any(math.gcd(m, pk) != 1 for pk in rest):
             continue
@@ -101,7 +93,7 @@ def classify(exponents: Sequence[int]) -> BHClassification:
         i2, i3 = singles
         rest = [k for k in others if k not in singles]
         p = [a[i1] >> c, a[i2] // 2, a[i3] // 2] + [a[k] for k in rest]
-        if not _pairwise_coprime(p):
+        if shared_factor_pair(p):
             continue
         alphas = (2 ** (c - 1) * p[0],) + tuple(p[1:])
         return BHClassification(
@@ -176,9 +168,9 @@ def bh_seifert(cls: BHClassification) -> SeifertData:
             num = 2 + sum(w * (alpha // a) for a, w in legs)
             if num % alpha:
                 continue
-            cand = SeifertData(num // alpha, legs)
+            cand = Link(SeifertData(num // alpha, legs))
             if _matches_generators(cand, gens):
-                best = cand
+                best = cand.sf
                 break
         if best is None:
             raise ArithmeticError(
@@ -201,13 +193,8 @@ def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
     return (2**cls.c * cls.p[0], 2 * cls.p[1], 2 * cls.p[2]) + cls.p[3:]
 
 
-def _matches_generators(sf: SeifertData, gens: list[int]) -> bool:
-    """Membership of the monoid of ``gens`` equals {N >= 0} on [0, f + 2*alpha]."""
-    inv = invariants(sf)
-    if inv.orbit_order != 2:
-        return False
-    f = apery_selmer(sf).frobenius
-    hi = max(f, 0) + 2 * inv.alpha
+def _matches_generators(link: Link, gens: list[int]) -> bool:
+    """Membership of the monoid of ``gens`` equals that of S on [0, f + 2*alpha]."""
+    hi = max(link.ap.frobenius, 0) + 2 * link.inv.alpha
     table = monoid_sieve(gens, hi)
-    n = QuasilinearTable(sf)
-    return all(bool(table[ell]) == (n(ell) >= 0) for ell in range(hi + 1))
+    return all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))

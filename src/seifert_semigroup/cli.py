@@ -24,11 +24,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import laufer, verification
-from .brieskorn import NOT_QHS, bh_generators, bh_seifert, classify
+from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, classify
 from .errors import RationalLinkError, TrivialSemigroupError
 from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, dual_cycle, r_of_class, zero_cycle
 from .seifert import (
     SeifertData,
+    SeifertInvariants,
     ceil_frac,
     ihs_from_alphas,
     invariants,
@@ -36,12 +37,10 @@ from .seifert import (
     is_rational_link,
 )
 from .semigroup import (
+    Link,
     SemigroupView,
-    apery_selmer,
     frobenius_bruteforce,
     frobenius_by_formula,
-    frobenius_module_raw,
-    min_module,
     minimal_generators,
     poincare,
     symmetry_report,
@@ -63,6 +62,11 @@ def fmt_cycle(l: RationalCycle) -> list[str]:
     return [str(c) for c in l.coeffs]
 
 
+def _start(record: dict) -> dict:
+    """A result object, opened with the record's id when it has one."""
+    return {"id": record["id"]} if "id" in record else {}
+
+
 def parse_record(text_or_obj) -> dict:
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     if not isinstance(obj, dict):
@@ -73,65 +77,84 @@ def parse_record(text_or_obj) -> dict:
     return obj
 
 
+def _int(x, name: str) -> int:
+    if type(x) is not int:  # bool is a subclass of int
+        raise ValueError(f"{name} must be an integer, got {json.dumps(x)}")
+    return x
+
+
+def _int_list(x, name: str) -> list[int]:
+    if not isinstance(x, list):
+        raise ValueError(f"'{name}' must be a list of integers, got {json.dumps(x)}")
+    return [_int(v, f"each entry of '{name}'") for v in x]
+
+
+def record_bh(record: dict) -> BHClassification:
+    return classify(_int_list(record["bh"], "bh"))
+
+
 def record_seifert(record: dict) -> SeifertData:
-    """The Seifert data of a record, synthesising it for alphas/bh inputs."""
+    """The Seifert data of a record, synthesising it for alphas/bh inputs; nothing is coerced."""
     if "seifert" in record:
         payload = record["seifert"]
-        return SeifertData(int(payload["b0"]), tuple((int(a), int(w)) for a, w in payload["legs"]))
+        if not isinstance(payload, dict):
+            raise ValueError("'seifert' must be an object with 'b0' and 'legs'")
+        legs = payload["legs"]
+        if not isinstance(legs, list) or not all(isinstance(leg, list) and len(leg) == 2 for leg in legs):
+            raise ValueError(f"'legs' must be a list of [a, w] pairs, got {json.dumps(legs)}")
+        return SeifertData(
+            _int(payload["b0"], "b0"),
+            tuple((_int(a, "a leg entry"), _int(w, "a leg entry")) for a, w in legs),
+        )
     if "alphas" in record:
-        return ihs_from_alphas(record["alphas"])
-    cls = classify(record["bh"])
+        return ihs_from_alphas(_int_list(record["alphas"], "alphas"))
+    cls = record_bh(record)
     if cls.case == NOT_QHS:
-        raise ValueError(f"exponents {tuple(record['bh'])} give positive genus (not a QHS)")
+        raise ValueError(f"exponents {cls.exponents} give positive genus (not a QHS)")
     return bh_seifert(cls)
 
 
-def invariants_block(sf: SeifertData) -> dict:
-    inv = invariants(sf)
+def invariants_block(inv: SeifertInvariants, gorenstein: bool, rational: bool) -> dict:
     return {
         "e": fmt(inv.e),
         "alpha": inv.alpha,
         "gamma": fmt(inv.gamma),
         "orderH": inv.order_h,
         "orbitOrder": inv.orbit_order,
-        "numericallyGorenstein": is_numerically_gorenstein(sf),
-        "rational": is_rational_link(sf),
+        "numericallyGorenstein": gorenstein,
+        "rational": rational,
+    }
+
+
+def semigroup_block(link: Link) -> dict:
+    """The semigroup keys shared by `batch` and `semigroup`."""
+    return {
+        "frobenius": link.ap.frobenius,
+        "trivial": link.sf.trivial,
+        "generators": minimal_generators(link),
+        "apery": list(link.ap.apery),
+        "gaps": link.ap.gaps,
     }
 
 
 def full_report(record: dict) -> dict:
     """The canonical per-record result object (used by `batch`)."""
-    sf = record_seifert(record)
-    out: dict = {}
-    if "id" in record:
-        out["id"] = record["id"]
-    out["invariants"] = invariants_block(sf)
-    trivial = sf.b0 >= sf.d
-    if trivial:
-        semi = {"frobenius": -1, "trivial": True, "generators": [1],
-                "apery": list(apery_selmer(sf).apery), "gaps": 0, "symmetric": True}
-    else:
-        ap = apery_selmer(sf)
-        rep = symmetry_report(sf)
-        semi = {
-            "frobenius": frobenius_bruteforce(sf),
-            "trivial": False,
-            "generators": minimal_generators(sf),
-            "apery": list(ap.apery),
-            "gaps": ap.gaps,
-            "symmetric": rep.symmetric,
-        }
+    link = Link(record_seifert(record))
+    out = _start(record)
+    out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
+    semi = semigroup_block(link)
+    semi["symmetric"] = link.sf.trivial or symmetry_report(link).symmetric
     out["semigroup"] = semi
-    out["module"] = {"frobenius": frobenius_module_raw(sf), "min": min_module(sf)}
+    out["module"] = {"frobenius": link.module_frobenius_raw, "min": link.module_min}
     if "bh" in record:
-        cls = classify(record["bh"])
+        cls = record_bh(record)
         out["bh"] = {
             "case": cls.case,
             "m": cls.m,
             "c": cls.c,
             "p": list(cls.p),
             "generators": bh_generators(cls),
-            "seifert": {"b0": sf.b0, "legs": [list(leg) for leg in sf.legs]},
+            "seifert": {"b0": link.sf.b0, "legs": [list(leg) for leg in link.sf.legs]},
         }
     return out
 
@@ -144,10 +167,8 @@ def cmd_info(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
     g = build_graph(sf)
-    out = {}
-    if "id" in record:
-        out["id"] = record["id"]
-    out["invariants"] = invariants_block(sf)
+    out = _start(record)
+    out["invariants"] = invariants_block(invariants(sf), is_numerically_gorenstein(sf), is_rational_link(sf))
     out["zk"] = fmt_cycle(canonical_cycle(g))
     _emit(out)
     return EXIT_OK
@@ -156,12 +177,9 @@ def cmd_info(args) -> int:
 def cmd_frobenius(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
-    out = {}
-    if "id" in record:
-        out["id"] = record["id"]
-    trivial = sf.b0 >= sf.d
-    semi: dict = {"trivial": trivial}
-    if trivial:
+    out = _start(record)
+    semi: dict = {"trivial": sf.trivial}
+    if sf.trivial:
         semi["frobenius"] = -1
     elif args.method == "formula":
         semi["frobenius"] = frobenius_by_formula(sf)
@@ -197,32 +215,20 @@ def cmd_frobenius(args) -> int:
 
 def cmd_semigroup(args) -> int:
     record = parse_record(_read_record(args.record))
-    sf = record_seifert(record)
-    inv = invariants(sf)
-    up_to = args.up_to if args.up_to is not None else max(0, ceil_frac(inv.gamma))
-    view = SemigroupView(sf)
-    out = {}
-    if "id" in record:
-        out["id"] = record["id"]
-    out["invariants"] = invariants_block(sf)
-    out["members"] = view.members(0, up_to)
-    trivial = sf.b0 >= sf.d
-    ap = apery_selmer(sf)
-    out["semigroup"] = {
-        "frobenius": -1 if trivial else frobenius_bruteforce(sf),
-        "trivial": trivial,
-        "generators": [1] if trivial else minimal_generators(sf),
-        "apery": list(ap.apery),
-        "gaps": ap.gaps,
-    }
-    if not trivial:
-        rep = symmetry_report(sf)
+    link = Link(record_seifert(record))
+    up_to = args.up_to if args.up_to is not None else max(0, ceil_frac(link.inv.gamma))
+    out = _start(record)
+    out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
+    out["members"] = SemigroupView(link).members(0, up_to)
+    out["semigroup"] = semigroup_block(link)
+    if not link.sf.trivial:
+        rep = symmetry_report(link)
         out["symmetry"] = {
             "symmetric": rep.symmetric,
             "witnesses": [list(w) for w in rep.witnesses],
             "modulePrincipal": rep.module_principal,
         }
-    poin = poincare(sf, up_to)
+    poin = poincare(link.sf, up_to)
     out["poincare"] = {
         "p0": list(poin.p0),
         "p0Plus": list(poin.p0_plus),
@@ -246,9 +252,7 @@ def cmd_laufer(args) -> int:
     r = r_of_class(start_class)
     result, trace = laufer.to_antinef(g, r, trace=args.trace)
     sc = laufer.scalars(g)
-    out = {}
-    if "id" in record:
-        out["id"] = record["id"]
+    out = _start(record)
     out["class"] = args.class_rep
     out["r"] = fmt_cycle(r)
     out["sH"] = fmt_cycle(result)
@@ -271,10 +275,8 @@ def cmd_bh(args) -> int:
     record = parse_record(_read_record(args.record))
     if "bh" not in record:
         raise ValueError("the bh command needs a {'bh': [...]} record")
-    cls = classify(record["bh"])
-    out = {}
-    if "id" in record:
-        out["id"] = record["id"]
+    cls = record_bh(record)
+    out = _start(record)
     out["exponents"] = list(cls.exponents)
     out["case"] = cls.case
     if cls.case != NOT_QHS:

@@ -188,9 +188,6 @@ class RationalCycle:
     def __le__(self, other: RationalCycle) -> bool:
         return all(a <= b for a, b in zip(self.coeffs, other.coeffs, strict=True))
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, a in enumerate(self.coeffs) if a != 0)
-
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.coeffs)
 
@@ -393,11 +390,6 @@ def group_order(g: StarGraph) -> int:
             raise ArithmeticError("degenerate intersection form")
         order *= x
     return order
-
-
-def discriminant_invariants(g: StarGraph) -> list[int]:
-    """Nontrivial invariant factors of H = L'/L."""
-    return [x for x in smith_invariants(intersection_matrix(g)) if x > 1]
 
 
 def is_negative_definite(g: StarGraph) -> bool:

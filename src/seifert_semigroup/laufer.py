@@ -148,12 +148,6 @@ def to_antinef(
     return result, None
 
 
-def minimal_antinef_representative(g: StarGraph, rep: ClassRep) -> RationalCycle:
-    """s_h: the unique minimal anti-nef cycle in the class h."""
-    result, _ = to_antinef(g, r_of_class(rep))
-    return result
-
-
 def x_series(g: StarGraph, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
     """The cycles x^0, ..., x^{up_to} of the class, via restricted sequences.
 

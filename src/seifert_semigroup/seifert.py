@@ -19,10 +19,11 @@ All ceilings are exact integer ceil-divisions; no floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 from .lattice import StarGraph, build_graph, canonical_cycle, cf_value
 
@@ -68,6 +69,11 @@ class SeifertData:
     def e(self) -> Fraction:
         return -self.b0 + sum(Fraction(w, a) for a, w in self.legs)
 
+    @property
+    def trivial(self) -> bool:
+        """b0 >= d, i.e. N(1) >= 0: the semigroup is all of Z_{>=0}."""
+        return self.b0 >= self.d
+
 
 @dataclass(frozen=True)
 class SeifertInvariants:
@@ -79,7 +85,6 @@ class SeifertInvariants:
     omega_prime: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def invariants(sf: SeifertData) -> SeifertInvariants:
     """Derived scalar invariants of the Seifert data."""
     e = sf.e
@@ -112,9 +117,9 @@ class QuasilinearTable:
     """
 
     def __init__(self, sf: SeifertData):
-        inv = invariants(sf)
-        self.alpha = inv.alpha
-        self.orbit_order = inv.orbit_order
+        self.inv = invariants(sf)
+        self.alpha = self.inv.alpha
+        self.orbit_order = self.inv.orbit_order
         self.base = [quasilinear(sf, r) for r in range(self.alpha)]
 
     def __call__(self, ell: int) -> int:
@@ -132,6 +137,11 @@ def tau_sequence(sf: SeifertData, up_to: int) -> list[int]:
     return taus
 
 
+def shared_factor_pair(nums) -> tuple[int, int] | None:
+    """The first pair of entries (in index order) with a common factor, or None."""
+    return next(((a, b) for a, b in itertools.combinations(nums, 2) if math.gcd(a, b) != 1), None)
+
+
 def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
     """The unique Seifert data of the integral homology sphere with given alphas.
 
@@ -144,10 +154,9 @@ def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
         raise ValueError("need at least 3 alphas")
     if any(a < 2 for a in alphas):
         raise ValueError("alphas must be >= 2")
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if math.gcd(alphas[i], alphas[j]) != 1:
-                raise ValueError(f"alphas must be pairwise coprime, got {alphas[i]}, {alphas[j]}")
+    pair = shared_factor_pair(alphas)
+    if pair:
+        raise ValueError(f"alphas must be pairwise coprime, got {pair[0]}, {pair[1]}")
     alpha = math.prod(alphas)
     omegas = [(-pow(alpha // a, -1, a)) % a for a in alphas]
     b0_frac = Fraction(1, alpha) + sum(Fraction(w, a) for a, w in zip(alphas, omegas))

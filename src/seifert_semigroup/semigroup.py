@@ -7,18 +7,21 @@ semigroup scan is exact on (0, alpha + gamma], the module scan on
 (0, gamma]), and both admit closed lattice formulas; the two routes are kept
 separate so each can certify the other.
 
-Also here: the Apery set with respect to alpha together with Selmer's
-Frobenius formula and the gap count, minimal generator computation for any
-membership view, strongly flat recognition, end-vertex projections of
-integral homology sphere semigroups, the Poincare series decomposition into
-polynomial and negative parts, and symmetry diagnostics.
+Every other semigroup and module quantity -- the Apery set with respect to
+alpha, Selmer's Frobenius number and gap count, min(M), the raw module
+Frobenius number, minimal generators and the symmetry diagnostics -- is read
+off one :class:`Link` per record, which holds a single table of N over one
+period.  Also here: minimal generator computation for any membership test,
+strongly flat recognition, end-vertex projections of integral homology
+sphere semigroups and the Poincare series decomposition into polynomial and
+negative parts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import laufer
@@ -34,22 +37,92 @@ from .seifert import (
     is_numerically_gorenstein,
     is_rational_link,
     quasilinear,
+    shared_factor_pair,
 )
+
+
+@dataclass(frozen=True)
+class AperyData:
+    apery: tuple[int, ...]
+    frobenius: int
+    gaps: int
+
+
+class Link:
+    """One record's semigroup and module, read off a single period table of N.
+
+    N(q*alpha + r) = N(r) + q*o holds exactly, so the table of N over
+    [0, alpha) fixes everything one residue class at a time: class r holds
+    the semigroup elements ell >= Ap[r] = ceil(-N(r)/o)*alpha + r and the
+    module elements ell >= m_r = ceil((-1 - N(r))/o)*alpha + r.  Selmer's
+    formulas give the Frobenius number max(Ap) - alpha and the gap count
+    (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap is
+    {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
+    The table is built with the Link; everything else on first use.
+    """
+
+    def __init__(self, sf: SeifertData):
+        self.sf = sf
+        self.n = QuasilinearTable(sf)
+        self.inv = self.n.inv
+
+    @cached_property
+    def ap(self) -> AperyData:
+        alpha, o = self.inv.alpha, self.inv.orbit_order
+        apery = tuple(ceil_div(-v, o) * alpha + r for r, v in enumerate(self.n.base))
+        return AperyData(
+            apery=apery,
+            frobenius=max(apery) - alpha,
+            gaps=(sum(apery) - alpha * (alpha - 1) // 2) // alpha,
+        )
+
+    def in_semigroup(self, ell: int) -> bool:
+        return ell >= self.ap.apery[ell % self.inv.alpha]
+
+    def module_least(self, r: int) -> int:
+        """m_r, the least module element congruent to r (mod alpha), for 0 <= r < alpha."""
+        return ceil_div(-1 - self.n.base[r], self.inv.orbit_order) * self.inv.alpha + r
+
+    def in_module(self, ell: int) -> bool:
+        return ell >= self.module_least(ell % self.inv.alpha)
+
+    @cached_property
+    def module_min(self) -> int:
+        return min(map(self.module_least, range(self.inv.alpha)))
+
+    @cached_property
+    def module_frobenius_raw(self) -> int:
+        return max(map(self.module_least, range(self.inv.alpha))) - self.inv.alpha
+
+    @property
+    def rational(self) -> bool:
+        """Every nonnegative integer lies in the module (equivalently p_g = 0)."""
+        return self.module_frobenius_raw < 0
+
+    @cached_property
+    def gorenstein(self) -> bool:
+        return is_numerically_gorenstein(self.sf)
+
+
+def as_link(x: Link | SeifertData) -> Link:
+    """``x`` itself if it is a Link, else the Link of the Seifert data ``x``."""
+    return x if isinstance(x, Link) else Link(x)
 
 
 class SemigroupView:
     """Membership view of the semigroup (kind="semigroup") or module (kind="module")."""
 
-    def __init__(self, sf: SeifertData, kind: str = "semigroup"):
+    def __init__(self, link: Link | SeifertData, kind: str = "semigroup"):
         if kind not in ("semigroup", "module"):
             raise ValueError(f"unknown kind {kind!r}")
-        self.sf = sf
+        self.link = as_link(link)
+        self.sf = self.link.sf
         self.kind = kind
-        self._n = QuasilinearTable(sf)
-        self._threshold = 0 if kind == "semigroup" else -1
 
     def __contains__(self, ell: int) -> bool:
-        return self._n(ell) >= self._threshold
+        if self.kind == "semigroup":
+            return self.link.in_semigroup(ell)
+        return self.link.in_module(ell)
 
     def members(self, lo: int, hi: int) -> list[int]:
         return [ell for ell in range(lo, hi + 1) if ell in self]
@@ -57,12 +130,6 @@ class SemigroupView:
     @property
     def frobenius(self) -> int:
         return frobenius_bruteforce(self.sf, self.kind)
-
-    @property
-    def min_element(self) -> int:
-        if self.kind == "semigroup":
-            return 0
-        return min_module(self.sf)
 
 
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
@@ -74,7 +141,7 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     """
     inv = invariants(sf)
     if kind == "semigroup":
-        if sf.b0 >= sf.d:
+        if sf.trivial:
             raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
         for ell in range(floor_frac(inv.alpha + inv.gamma), 0, -1):
             if quasilinear(sf, ell) < 0:
@@ -90,17 +157,12 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def frobenius_module_raw(sf: SeifertData) -> int:
+def frobenius_module_raw(link: Link | SeifertData) -> int:
     """max{ell : ell not in the module}, defined for every link.
 
-    Negative for rational links; equals the module Frobenius number
-    otherwise.  Terminates because N(ell) <= -2 below ceil(-2/|e|).
+    Negative for rational links; equals the module Frobenius number otherwise.
     """
-    inv = invariants(sf)
-    ell = floor_frac(max(inv.gamma, Fraction(0)))
-    while quasilinear(sf, ell) > -2:
-        ell -= 1
-    return ell
+    return as_link(link).module_frobenius_raw
 
 
 def frobenius_by_formula(sf: SeifertData) -> int:
@@ -111,7 +173,7 @@ def frobenius_by_formula(sf: SeifertData) -> int:
     gamma + alpha - s, and in the numerically Gorenstein case the value is
     gamma + m_0(E_0^* - s_[E_0^*]) >= gamma.
     """
-    if sf.b0 >= sf.d:
+    if sf.trivial:
         raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
     inv = invariants(sf)
     g = build_graph(sf)
@@ -128,52 +190,21 @@ def frobenius_by_formula(sf: SeifertData) -> int:
     return int(f)
 
 
-def min_module(sf: SeifertData) -> int:
-    """Smallest element of the module: first ell with N(ell) >= -1.
-
-    The scan starts at ceil(-2/|e|); below that N(ell) <= |e|*ell <= -2.
-    """
-    inv = invariants(sf)
-    ell = ceil_frac(Fraction(-2) / (-inv.e))
-    while quasilinear(sf, ell) < -1:
-        ell += 1
-    return ell
+def min_module(link: Link | SeifertData) -> int:
+    """Smallest element of the module: the least of the per-class minima m_r."""
+    return as_link(link).module_min
 
 
-@dataclass(frozen=True)
-class AperyData:
-    apery: tuple[int, ...]
-    frobenius: int
-    gaps: int
-
-
-def apery_selmer(sf: SeifertData) -> AperyData:
-    """Apery set with respect to alpha, Selmer Frobenius number, gap count.
-
-    The least member congruent to r (mod alpha) is ceil(-N(r)/o)*alpha + r;
-    Selmer's formula then gives the Frobenius number as max(Apery) - alpha
-    and the number of gaps as the sum of the ceilings.  For the trivial
-    semigroup this degenerates gracefully (Apery = {0..alpha-1}, Frobenius
-    -1, no gaps).
-    """
-    inv = invariants(sf)
-    o = inv.orbit_order
-    apery = []
-    gaps = 0
-    for r in range(inv.alpha):
-        k = ceil_div(-quasilinear(sf, r), o)
-        gaps += k
-        apery.append(k * inv.alpha + r)
-    return AperyData(apery=tuple(apery), frobenius=max(apery) - inv.alpha, gaps=gaps)
+def apery_selmer(link: Link | SeifertData) -> AperyData:
+    """Apery set with respect to alpha, Selmer Frobenius number, gap count."""
+    return as_link(link).ap
 
 
 def gap_count_direct(sf: SeifertData) -> int:
     """Number of gaps by direct enumeration of non-members up to the Frobenius number."""
-    if sf.b0 >= sf.d:
+    if sf.trivial:
         return 0
-    f = frobenius_bruteforce(sf)
-    n = QuasilinearTable(sf)
-    return sum(1 for ell in range(1, f + 1) if n(ell) < 0)
+    return sum(1 for ell in range(1, frobenius_bruteforce(sf) + 1) if quasilinear(sf, ell) < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +228,14 @@ def minimal_generators_from_membership(member: Callable[[int], bool], frobenius:
     return gens
 
 
-def minimal_generators(view: SemigroupView | SeifertData) -> list[int]:
-    """Minimal generators of the semigroup of a Seifert link."""
-    if isinstance(view, SeifertData):
-        view = SemigroupView(view)
-    if view.kind != "semigroup":
-        raise ValueError("minimal generators are defined for the semigroup view")
-    ap = apery_selmer(view.sf)
-    return minimal_generators_from_membership(lambda s: s in view, ap.frobenius)
+def minimal_generators(view: SemigroupView | Link | SeifertData) -> list[int]:
+    """Minimal generators of the semigroup of a Seifert link, by Apery membership."""
+    if isinstance(view, SemigroupView):
+        if view.kind != "semigroup":
+            raise ValueError("minimal generators are defined for the semigroup view")
+        view = view.link
+    link = as_link(view)
+    return minimal_generators_from_membership(link.in_semigroup, link.ap.frobenius)
 
 
 def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:
@@ -250,10 +281,8 @@ def minimal_generators_of_monoid(gens: Sequence[int]) -> list[int]:
 def ihs_generators(alphas: Sequence[int]) -> list[int]:
     """Generators alpha/alpha_i of the semigroup of the homology sphere with given alphas."""
     alphas = [int(a) for a in alphas]
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if math.gcd(alphas[i], alphas[j]) != 1:
-                raise ValueError("alphas must be pairwise coprime")
+    if shared_factor_pair(alphas):
+        raise ValueError("alphas must be pairwise coprime")
     total = math.prod(alphas)
     return sorted(total // a for a in alphas)
 
@@ -304,10 +333,8 @@ def end_projection_generators(alphas: Sequence[int], end_index: int) -> list[int
     alphas = [int(a) for a in alphas]
     if len(alphas) < 3:
         raise ValueError("need at least 3 alphas")
-    for i in range(len(alphas)):
-        for j in range(i + 1, len(alphas)):
-            if math.gcd(alphas[i], alphas[j]) != 1:
-                raise ValueError("alphas must be pairwise coprime")
+    if shared_factor_pair(alphas):
+        raise ValueError("alphas must be pairwise coprime")
     if not (0 <= end_index < len(alphas)):
         raise ValueError("end_index out of range")
     others = [a for i, a in enumerate(alphas) if i != end_index]
@@ -364,36 +391,29 @@ class SymmetryReport:
     module_principal: bool
 
 
-def symmetry_report(sf: SeifertData) -> SymmetryReport:
+def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
     """Test ell in S <=> f - ell not in S on [0, f], and whether the module
     is generated by its minimum.
 
-    Witnesses are the pairs (ell, f - ell) violating the equivalence.  The
-    principality test runs on [min(M), f_M + alpha]; above that window both
-    sides contain everything.  For numerically Gorenstein data the two
-    verdicts provably agree.
+    Witnesses are the pairs (ell, f - ell) violating the equivalence.  N is
+    superadditive, so min(M) + S lies in M, and the two are equal exactly
+    when every class r has m_r = min(M) + Ap[(r - min(M)) mod alpha].  For
+    numerically Gorenstein data the two verdicts provably agree.
     """
-    if sf.b0 >= sf.d:
+    link = as_link(link)
+    if link.sf.trivial:
         raise TrivialSemigroupError("trivial semigroup has no finite Frobenius number")
-    inv = invariants(sf)
-    n = QuasilinearTable(sf)
-    f = frobenius_bruteforce(sf)
-    witnesses = []
-    for ell in range(0, f // 2 + 1):
-        if (n(ell) >= 0) == (n(f - ell) >= 0):
-            witnesses.append((ell, f - ell))
-    minm = min_module(sf)
-    f_raw = frobenius_module_raw(sf)
+    f = link.ap.frobenius
+    member = link.in_semigroup
+    witnesses = tuple((ell, f - ell) for ell in range(f // 2 + 1) if member(ell) == member(f - ell))
+    alpha, apery, minm = link.inv.alpha, link.ap.apery, link.module_min
     module_principal = all(
-        (n(m) >= -1) == (m - minm >= 0 and n(m - minm) >= 0)
-        for m in range(minm, f_raw + inv.alpha + 1)
+        link.module_least(r) == minm + apery[(r - minm) % alpha] for r in range(alpha)
     )
     symmetric = not witnesses
-    if is_numerically_gorenstein(sf):
+    if link.gorenstein:
         assert symmetric == module_principal, "Gorenstein symmetry/principality must agree"
-    return SymmetryReport(
-        symmetric=symmetric, witnesses=tuple(witnesses), module_principal=module_principal
-    )
+    return SymmetryReport(symmetric=symmetric, witnesses=witnesses, module_principal=module_principal)
 
 
 @dataclass(frozen=True)
@@ -402,38 +422,32 @@ class GorensteinSymmetryReport:
     failures: tuple[str, ...]
 
 
-def gorenstein_symmetry_check(sf: SeifertData) -> GorensteinSymmetryReport:
+def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryReport:
     """Numerical traces of the Gorenstein symmetry for Z_K integral.
 
-    Checks N(ell) + N(gamma - ell) = -2 on [-2*alpha, 2*alpha]; for orbit
-    order one additionally N(ell) + N(alpha + gamma - ell) = -1; and the
-    level-set identity {N = -1} = Z \\ ((gamma - S) u S) on the window
-    [min(M) - alpha, f_S + alpha].
+    Checks N(ell) + N(gamma - ell) = -2; for orbit order one additionally
+    N(ell) + N(alpha + gamma - ell) = -1; and the level-set identity
+    {N = -1} = Z \\ ((gamma - S) u S), which in class r says
+    m_r = min(Ap[r], gamma + alpha - Ap[(gamma - r) mod alpha]).  Moving ell
+    by alpha moves both sides of each identity by the same multiple of o, so
+    checking the residues 0 <= r < alpha covers all of Z.
     """
-    if not is_numerically_gorenstein(sf):
+    link = as_link(link)
+    if not link.gorenstein:
         raise ValueError("input is not numerically Gorenstein")
-    inv = invariants(sf)
+    inv = link.inv
     assert inv.gamma.denominator == 1
-    gamma = int(inv.gamma)
-    alpha = inv.alpha
-    n = QuasilinearTable(sf)
-    failures = []
-    for ell in range(-2 * alpha, 2 * alpha + 1):
-        if n(ell) + n(gamma - ell) != -2:
-            failures.append(f"N({ell}) + N({gamma - ell}) != -2")
-            break
+    gamma, alpha, n, apery = int(inv.gamma), inv.alpha, link.n, link.ap.apery
+    checks = [("N(ell) + N(gamma - ell) = -2", lambda r: n(r) + n(gamma - r) == -2)]
     if inv.orbit_order == 1:
-        for ell in range(-2 * alpha, 2 * alpha + 1):
-            if n(ell) + n(alpha + gamma - ell) != -1:
-                failures.append(f"N({ell}) + N({alpha + gamma - ell}) != -1")
-                break
-    f_s = -1 if sf.b0 >= sf.d else frobenius_bruteforce(sf)
-    lo = min_module(sf) - alpha
-    hi = f_s + alpha
-    for ell in range(lo, hi + 1):
-        in_level = n(ell) == -1
-        in_set = n(ell) < 0 and n(gamma - ell) < 0
-        if in_level != in_set:
-            failures.append(f"level-set identity fails at {ell}")
-            break
+        checks.append(("N(ell) + N(alpha + gamma - ell) = -1", lambda r: n(r) + n(alpha + gamma - r) == -1))
+    checks.append((
+        "level-set identity",
+        lambda r: link.module_least(r) == min(apery[r], gamma + alpha - apery[(gamma - r) % alpha]),
+    ))
+    failures = []
+    for name, holds in checks:
+        bad = next((r for r in range(alpha) if not holds(r)), None)
+        if bad is not None:
+            failures.append(f"{name} fails in residue class {bad}")
     return GorensteinSymmetryReport(passed=not failures, failures=tuple(failures))

@@ -31,16 +31,14 @@ from .seifert import (
     ceil_frac,
     floor_frac,
     invariants,
-    is_numerically_gorenstein,
     is_rational_link,
     quasilinear,
 )
 from .semigroup import (
-    apery_selmer,
+    Link,
     frobenius_bruteforce,
     frobenius_by_formula,
     gap_count_direct,
-    min_module,
     symmetry_report,
 )
 
@@ -167,27 +165,28 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
             ok = False
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
-    # theorem vs brute force
-    if sf.b0 < sf.d:
+    # theorem vs brute force; the semigroup side is read off one period table
+    link = Link(sf)
+    ap = link.ap
+    if not sf.trivial:
         f_formula = frobenius_by_formula(sf)
         f_brute = frobenius_bruteforce(sf)
         check("semigroup_frobenius_agreement", f_formula == f_brute,
               f"formula {f_formula} != brute {f_brute}")
-        ap = apery_selmer(sf)
         check("selmer_agreement", ap.frobenius == f_brute, f"Selmer {ap.frobenius} != {f_brute}")
         check("gap_count_agreement", ap.gaps == gap_count_direct(sf),
               f"gap formula {ap.gaps} != direct count")
-        symmetry_report(sf)  # internally cross-asserts symmetry vs principality
-        if is_numerically_gorenstein(sf):
+        symmetry_report(link)  # internally cross-asserts symmetry vs principality
+        if link.gorenstein:
             check("gorenstein_min_plus_frobenius",
-                  min_module(sf) + f_brute == inv.gamma,
+                  link.module_min + f_brute == inv.gamma,
                   "min(M) + f_S != gamma")
-            check("gorenstein_symmetry", semigroup.gorenstein_symmetry_check(sf).passed,
+            check("gorenstein_symmetry", semigroup.gorenstein_symmetry_check(link).passed,
                   "numerical Gorenstein symmetry fails")
     else:
-        ap = apery_selmer(sf)
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
+    del link, ap  # free the table before the augmentation checks, which need memory of their own
     if not is_rational_link(sf):
         fm_formula = laufer.frobenius_module(g)
         fm_brute = frobenius_bruteforce(sf, "module")

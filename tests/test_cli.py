@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from seifert_semigroup.cli import main
 
 SEC5 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1]]}}'
@@ -150,3 +152,36 @@ def test_batch_bad_record_exit_code(tmp_path):
     assert main(["batch", "--in", str(infile), "--out", str(outfile)]) == 1
     result = json.loads(outfile.read_text())
     assert result["id"] == "bad" and "error" in result
+
+
+SEIFERT_LEGS = '[[2,1],[3,1],[7,1]]'
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ('{"seifert":{"b0":1.7,"legs":%s}}' % SEIFERT_LEGS, "b0 must be an integer, got 1.7"),
+        ('{"seifert":{"b0":true,"legs":%s}}' % SEIFERT_LEGS, "b0 must be an integer, got true"),
+        ('{"seifert":{"b0":"1","legs":%s}}' % SEIFERT_LEGS, 'b0 must be an integer, got "1"'),
+        ('{"alphas":[2,3,7.9]}', "each entry of 'alphas' must be an integer, got 7.9"),
+        ('{"alphas":"237"}', "'alphas' must be a list of integers"),
+        ('{"bh":"237"}', "'bh' must be a list of integers"),
+        ('{"seifert":{"b0":1,"legs":5}}', "'legs' must be a list of [a, w] pairs, got 5"),
+        ('{"seifert":[1]}', "'seifert' must be an object"),
+        ('{"seifert":{"b0":1,"legs":[[5,1,9],[2,1],[3,1]]}}', "'legs' must be a list of [a, w] pairs"),
+    ],
+    ids=["b0-float", "b0-bool", "b0-string", "alphas-float", "alphas-string", "bh-string",
+         "legs-int", "seifert-list", "leg-triple"],
+)
+def test_malformed_record_is_one_line_input_error(record, message, capsys, tmp_path):
+    assert main(["info", record]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+    infile = tmp_path / "in.jsonl"
+    infile.write_text('{"id":"m",' + record[1:] + "\n")
+    outfile = tmp_path / "out.jsonl"
+    assert main(["batch", "--in", str(infile), "--out", str(outfile)]) == 1
+    assert message in json.loads(outfile.read_text())["error"]

@@ -1,0 +1,38 @@
+"""Byte-for-byte CLI output on a small fixed corpus.
+
+``golden/corpus.jsonl`` holds general, non-symmetric, trivial, rational and
+numerically Gorenstein records, homology spheres, Brieskorn-Hamm records of
+both shapes and one invalid record.  Beside it are the expected ``batch``
+output and the stdout of ``semigroup`` and ``info`` on each valid record, one
+line per record.  Rewrite them only for an intended change of output.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from seifert_semigroup.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+CORPUS = GOLDEN / "corpus.jsonl"
+
+
+def valid_records() -> list[str]:
+    lines = CORPUS.read_text(encoding="utf-8").splitlines()
+    return [line for line in lines if json.loads(line)["id"] != "bad"]
+
+
+def test_batch_golden(tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert main(["batch", "--in", str(CORPUS), "--out", str(out)]) == 1  # the invalid record
+    assert out.read_bytes() == (GOLDEN / "batch.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["semigroup", "info"])
+def test_command_golden(command, capsys):
+    chunks = []
+    for line in valid_records():
+        assert main([command, line]) == 0
+        chunks.append(capsys.readouterr().out)
+    assert "".join(chunks).encode("utf-8") == (GOLDEN / f"{command}.jsonl").read_bytes()
