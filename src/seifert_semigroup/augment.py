@@ -164,29 +164,30 @@ def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropC
             ceil_frac(inv.gamma - sc.s + inv.alpha) + 1,
         )
         candidates = [start * (1 << k) for k in range(5)]
+    f_base = None if sf.trivial else frobenius_bruteforce(sf)
     last_detail = ""
     for cand in candidates:
         pair = augment(sf, cand)
-        ok, detail = _prop_comp_once(pair, bound)
+        ok, detail = _prop_comp_once(pair, bound, f_base)
         if ok:
             return PropCompReport(n_used=cand, passed=True)
         last_detail = detail
     return PropCompReport(n_used=candidates[-1], passed=False, detail=last_detail)
 
 
-def _prop_comp_once(pair: AugmentedPair, bound: int) -> tuple[bool, str]:
+def _prop_comp_once(pair: AugmentedPair, bound: int, f_base: int | None) -> tuple[bool, str]:
+    """Membership on [0, bound]; then, for a non-trivial base, f_M(augmented) = ``f_base``."""
     sf, aug = pair.base, pair.augmented
     for ell in range(0, bound + 1):
         in_semigroup = quasilinear(sf, ell) >= 0
         in_module = quasilinear(aug, ell) >= -1
         if in_semigroup != in_module:
             return False, f"membership differs at ell = {ell} (n = {pair.n})"
-    if not sf.trivial:
+    if f_base is not None:
         try:
             f_module = laufer.frobenius_module(pair.augmented_graph)
         except RationalLinkError:
             return False, f"augmented graph is rational at n = {pair.n}"
-        f_base = frobenius_bruteforce(sf)
         if f_module != f_base:
             return False, f"module Frobenius {f_module} != semigroup Frobenius {f_base}"
     return True, ""

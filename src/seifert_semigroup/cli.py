@@ -33,7 +33,6 @@ from .seifert import (
     ceil_frac,
     ihs_from_alphas,
     invariants,
-    is_numerically_gorenstein,
     is_rational_link,
 )
 from .semigroup import (
@@ -166,10 +165,10 @@ def full_report(record: dict) -> dict:
 def cmd_info(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
-    g = build_graph(sf)
+    zk = canonical_cycle(build_graph(sf))
     out = _start(record)
-    out["invariants"] = invariants_block(invariants(sf), is_numerically_gorenstein(sf), is_rational_link(sf))
-    out["zk"] = fmt_cycle(canonical_cycle(g))
+    out["invariants"] = invariants_block(invariants(sf), zk.is_integral(), is_rational_link(sf))
+    out["zk"] = fmt_cycle(zk)
     _emit(out)
     return EXIT_OK
 
@@ -192,20 +191,22 @@ def cmd_frobenius(args) -> int:
             return EXIT_VERIFY
         semi["frobenius"] = formula
 
-    rational = is_rational_link(sf)
-    module: dict = {"rational": rational}
-    if rational:
-        module["frobenius"] = None
-    elif args.method == "formula":
-        module["frobenius"] = laufer.frobenius_module(build_graph(sf))
-    elif args.method == "brute":
-        module["frobenius"] = frobenius_bruteforce(sf, "module")
-    else:
-        formula, brute = laufer.frobenius_module(build_graph(sf)), frobenius_bruteforce(sf, "module")
-        if formula != brute:
-            print(f"verification failure: module formula {formula} != brute {brute}", file=sys.stderr)
-            return EXIT_VERIFY
-        module["frobenius"] = formula
+    # each route raises RationalLinkError on a rational link, so the first
+    # route to run decides rationality
+    module: dict = {"rational": False}
+    try:
+        if args.method == "formula":
+            module["frobenius"] = laufer.frobenius_module(build_graph(sf))
+        elif args.method == "brute":
+            module["frobenius"] = frobenius_bruteforce(sf, "module")
+        else:
+            formula, brute = laufer.frobenius_module(build_graph(sf)), frobenius_bruteforce(sf, "module")
+            if formula != brute:
+                print(f"verification failure: module formula {formula} != brute {brute}", file=sys.stderr)
+                return EXIT_VERIFY
+            module["frobenius"] = formula
+    except RationalLinkError:
+        module = {"rational": True, "frobenius": None}
     out["method"] = args.method
     out["semigroup"] = semi
     out["module"] = module

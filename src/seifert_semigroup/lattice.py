@@ -4,8 +4,13 @@ A star-shaped plumbing tree consists of a central vertex carrying the Euler
 decoration -b0 together with d legs; leg i is the chain of decorations
 -b_{i1}, ..., -b_{i,nu_i} obtained from the negative (Hirzebruch) continued
 fraction expansion of alpha_i/omega_i.  The vertices span the lattice L with
-the symmetric intersection form I (diagonal = decorations, 1 on edges), which
-is negative definite exactly when the orbifold Euler number is negative.
+the symmetric intersection form I (diagonal = decorations, 1 on edges).
+
+Systems I x = rhs are solved by eliminating each leg from its leaf toward the
+centre: on a tree this creates no fill-in, so a solve costs O(n) (Neumann, "A
+calculus for plumbing", 1981).  A leg vertex's pivot is minus the continued
+fraction of the leg from it out to the leaf, so < -1, and the centre's pivot
+is the orbifold Euler number e; I is negative definite exactly when e < 0.
 
 Everything here is computed over exact rationals: the dual cycles E_v^*
 (characterised by (E_v^*, E_w) = -delta_{vw}), the canonical cycle Z_K
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -63,9 +68,9 @@ class StarGraph:
 
     ``euler[v]`` is the decoration of vertex v (all negative); ``legs`` holds
     the vertex ids of each leg, ordered from the centre outward.  The centre
-    is always vertex 0.  Negative definiteness is not enforced here -- it is
-    guaranteed for graphs built from valid Seifert data and can be probed
-    with :func:`is_negative_definite`.
+    is always vertex 0.  A graph with e >= 0 can be built, but solving on it
+    raises ArithmeticError.  What the graph alone determines (adjacency,
+    elimination pivots, Z_K) is computed on first use and kept on the graph.
     """
 
     euler: tuple[int, ...]
@@ -96,19 +101,33 @@ class StarGraph:
         return len(self.legs)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return _adjacency(self)[v]
+        return self.adjacency[v]
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for leg in self.legs:
+            prev = 0
+            for v in leg:
+                adj[prev].append(v)
+                adj[v].append(prev)
+                prev = v
+        return tuple(tuple(a) for a in adj)
 
-@lru_cache(maxsize=None)
-def _adjacency(g: StarGraph) -> tuple[tuple[int, ...], ...]:
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for leg in g.legs:
-        prev = 0
-        for v in leg:
-            adj[prev].append(v)
-            adj[v].append(prev)
-            prev = v
-    return tuple(tuple(a) for a in adj)
+    @cached_property
+    def pivots(self) -> tuple[Fraction, ...]:
+        """Elimination pivots by vertex: a leg vertex's is its decoration minus
+        the reciprocal of the next pivot toward the leaf; the centre's is e."""
+        p = [orbifold_euler_number(self)] * self.n
+        for leg in self.legs:
+            pivot = None
+            for v in reversed(leg):
+                pivot = p[v] = Fraction(self.euler[v]) if pivot is None else self.euler[v] - 1 / pivot
+        return tuple(p)
+
+    @cached_property
+    def zk(self) -> RationalCycle:
+        return _solve(self, [e + 2 for e in self.euler])
 
 
 def build_graph(sf: SeifertData) -> StarGraph:
@@ -125,7 +144,6 @@ def build_graph(sf: SeifertData) -> StarGraph:
     return StarGraph(euler=tuple(euler), legs=tuple(legs))
 
 
-@lru_cache(maxsize=None)
 def intersection_matrix(g: StarGraph) -> tuple[tuple[int, ...], ...]:
     """The intersection form I: decorations on the diagonal, 1 on edges."""
     m = [[0] * g.n for _ in range(g.n)]
@@ -232,59 +250,46 @@ def pairing(g: StarGraph, a: RationalCycle, b: RationalCycle) -> Fraction:
     return sum((pairing_with_vertex(g, a, v) * b[v] for v in range(g.n)), Fraction(0))
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A x = r for each rhs column by exact Gaussian elimination.
-
-    A is given by ``rows`` (square, nonsingular); pivoting only needs a
-    nonzero entry since the arithmetic is exact.
-    """
-    n = len(rows)
-    aug = [rows[i][:] + [col[i] for col in rhs] for i in range(n)]
-    width = len(aug[0])
-    for c in range(n):
-        p = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if p is None:
-            raise ArithmeticError("singular matrix in exact solve")
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [[aug[i][n + k] for i in range(n)] for k in range(width - n)]
-
-
-@lru_cache(maxsize=None)
-def dual_basis(g: StarGraph) -> tuple[RationalCycle, ...]:
-    """All dual cycles E_v^*, with (E_v^*, E_w) = -delta_{vw}."""
-    I = intersection_matrix(g)
-    rows = [[Fraction(x) for x in row] for row in I]
-    rhs = [[Fraction(-1 if u == v else 0) for u in range(g.n)] for v in range(g.n)]
-    sols = _solve_exact(rows, rhs)
-    duals = tuple(RationalCycle(tuple(col)) for col in sols)
-    for v, ev in enumerate(duals):
-        if not all(x > 0 for x in ev.coeffs):
-            raise ArithmeticError(f"dual cycle E_{v}^* not strictly positive; graph not negative definite?")
-    return duals
+def _solve(g: StarGraph, rhs: Sequence[Rat]) -> RationalCycle:
+    """The x with I x = rhs.  Each leg is eliminated from its leaf inward as
+    x_v = a_v - x_u/p_v (u the next vertex toward the centre, p_v the pivot of
+    v), which leaves x_0 alone in the centre equation; the legs are then
+    filled in outward."""
+    pivots = g.pivots
+    if pivots[0] >= 0:
+        raise ArithmeticError(f"intersection form is not negative definite (e = {pivots[0]} >= 0)")
+    a = [Fraction(0)] * g.n
+    centre = Fraction(rhs[0])
+    for leg in g.legs:
+        outer = 0
+        for v in reversed(leg):
+            outer = a[v] = (rhs[v] - outer) / pivots[v]
+        centre -= outer
+    x = [centre / pivots[0]] * g.n
+    for leg in g.legs:
+        inner = x[0]
+        for v in leg:
+            inner = x[v] = a[v] - inner / pivots[v]
+    return RationalCycle(tuple(x))
 
 
 def dual_cycle(g: StarGraph, v: int) -> RationalCycle:
-    """E_v^*, the anti-dual of the base element E_v."""
-    return dual_basis(g)[v]
+    """E_v^*, the anti-dual of the base element E_v: (E_v^*, E_w) = -delta_{vw}."""
+    return _solve(g, [-1 if u == v else 0 for u in range(g.n)])
 
 
-@lru_cache(maxsize=None)
+def dual_basis(g: StarGraph) -> tuple[RationalCycle, ...]:
+    """All dual cycles E_v^*."""
+    return tuple(dual_cycle(g, v) for v in range(g.n))
+
+
 def canonical_cycle(g: StarGraph) -> RationalCycle:
     """Z_K = -K, the unique solution of the adjunction equations.
 
-    Characterised by (Z_K, E_v) = euler(v) + 2 for every vertex v.
+    Characterised by (Z_K, E_v) = euler(v) + 2 for every vertex v; kept on
+    the graph after the first call.
     """
-    I = intersection_matrix(g)
-    rows = [[Fraction(x) for x in row] for row in I]
-    rhs = [[Fraction(g.euler[v] + 2) for v in range(g.n)]]
-    (sol,) = _solve_exact(rows, rhs)
-    return RationalCycle(tuple(sol))
+    return g.zk
 
 
 def chi(g: StarGraph, l: RationalCycle) -> Fraction:
@@ -393,19 +398,5 @@ def group_order(g: StarGraph) -> int:
 
 
 def is_negative_definite(g: StarGraph) -> bool:
-    """Sylvester criterion on -I: all leading principal minors positive.
-
-    Symmetric elimination without pivoting: the t-th pivot equals the ratio
-    of consecutive leading minors, so all minors are positive exactly when
-    every pivot stays positive.
-    """
-    n = g.n
-    m = [[Fraction(-x) for x in row] for row in intersection_matrix(g)]
-    for t in range(n):
-        if m[t][t] <= 0:
-            return False
-        for r in range(t + 1, n):
-            f = m[r][t] / m[t][t]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[t])]
-    return True
+    """Sylvester's criterion on the elimination pivots; leg pivots are < -1, so it is e < 0."""
+    return g.pivots[0] < 0

@@ -40,7 +40,6 @@ from .lattice import (
     ClassRep,
     RationalCycle,
     StarGraph,
-    _adjacency,
     canonical_cycle,
     chi,
     class_rep,
@@ -106,7 +105,7 @@ def to_antinef(
     allowed = tuple(range(g.n)) if vertices is None else tuple(sorted(set(vertices)))
     coeffs = list(start.coeffs)
     p = list(pairing_vector(g, start))
-    adj = _adjacency(g)
+    adj = g.adjacency
     euler = g.euler
     budget = _step_budget(step_budget)
     steps: list[tuple[int, Fraction]] = []

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from . import laufer
 from .errors import RationalLinkError, TrivialSemigroupError
-from .lattice import build_graph, dual_cycle
+from .lattice import build_graph, canonical_cycle, dual_cycle
 from .seifert import (
     QuasilinearTable,
     SeifertData,
@@ -183,7 +183,7 @@ def frobenius_by_formula(sf: SeifertData) -> int:
     assert f.denominator == 1, f"formula value {f} is not an integer"
     if inv.orbit_order == 1:
         assert f == inv.gamma + inv.alpha - sc.s
-    if is_numerically_gorenstein(sf):
+    if canonical_cycle(g).is_integral():
         e0 = dual_cycle(g, 0)
         assert f == inv.gamma + (e0 - sc.s_check_cycle)[0]
         assert f >= inv.gamma
@@ -201,10 +201,9 @@ def apery_selmer(link: Link | SeifertData) -> AperyData:
 
 
 def gap_count_direct(sf: SeifertData) -> int:
-    """Number of gaps by direct enumeration of non-members up to the Frobenius number."""
-    if sf.trivial:
-        return 0
-    return sum(1 for ell in range(1, frobenius_bruteforce(sf) + 1) if quasilinear(sf, ell) < 0)
+    """Number of gaps by direct enumeration of non-members in (0, alpha + gamma]."""
+    inv = invariants(sf)
+    return sum(1 for ell in range(1, floor_frac(inv.alpha + inv.gamma) + 1) if quasilinear(sf, ell) < 0)
 
 
 # ---------------------------------------------------------------------------

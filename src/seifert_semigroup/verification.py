@@ -104,8 +104,8 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     def check(name, condition, detail=""):
         results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
-    check("smith_order", group_order(g) == inv.order_h,
-          f"SNF order {group_order(g)} != alpha_1..alpha_d*|e| = {inv.order_h}")
+    order = group_order(g)
+    check("smith_order", order == inv.order_h, f"SNF order {order} != alpha_1..alpha_d*|e| = {inv.order_h}")
     check("gamma_is_central_zk_coefficient", zk[0] == inv.gamma + 1, f"m0(Z_K) = {zk[0]}")
     duals = dual_basis(g)
     ok = all(

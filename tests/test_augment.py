@@ -11,6 +11,7 @@ from seifert_semigroup import (
     class_rep,
     cycle,
     dual_cycle,
+    frobenius_bruteforce,
     invariants,
     is_antinef,
     pairing,
@@ -134,7 +135,7 @@ def test_prop_comp_84_interpretation(sf_gor7):
     base = SeifertData(2, ((2, 1), (2, 1), (3, 1), (3, 1), (7, 1), (7, 1)))
     pair = augment(base, 84)
     assert pair.augmented == sf_gor7
-    ok, detail = _prop_comp_once(pair, 300)
+    ok, detail = _prop_comp_once(pair, 300, frobenius_bruteforce(base))
     assert not ok and "ell = 85" in detail
     report = verify_prop_comp(base, 300)
     assert report.passed and report.n_used >= 85

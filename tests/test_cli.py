@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,27 @@ def test_malformed_record_is_one_line_input_error(record, message, capsys, tmp_p
     outfile = tmp_path / "out.jsonl"
     assert main(["batch", "--in", str(infile), "--out", str(outfile)]) == 1
     assert message in json.loads(outfile.read_text())["error"]
+
+
+def _python(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_checks_survive_optimize_flag():
+    """Under -O (asserts stripped) verify prints the same lines, and solving on
+    an indefinite graph still raises ArithmeticError."""
+    argv = ["-m", "seifert_semigroup", "verify", "--random", "20", "--seed", "1"]
+    plain, optimized = _python(*argv), _python("-O", *argv)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    indefinite = (
+        "from seifert_semigroup import StarGraph, canonical_cycle\n"
+        "g = StarGraph(euler=(-1, -2, -2, -2), legs=((1,), (2,), (3,)))  # e = 1/2\n"
+        "try:\n"
+        "    canonical_cycle(g)\n"
+        "except ArithmeticError:\n"
+        "    print('refused')\n"
+    )
+    result = _python("-O", "-c", indefinite)
+    assert result.returncode == 0 and result.stdout == "refused\n", result.stderr

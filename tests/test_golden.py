@@ -3,8 +3,10 @@
 ``golden/corpus.jsonl`` holds general, non-symmetric, trivial, rational and
 numerically Gorenstein records, homology spheres, Brieskorn-Hamm records of
 both shapes and one invalid record.  Beside it are the expected ``batch``
-output and the stdout of ``semigroup`` and ``info`` on each valid record, one
-line per record.  Rewrite them only for an intended change of output.
+output and the stdout of ``semigroup``, ``info``, ``frobenius`` and ``laufer``
+on each valid record, one line per record; ``laufer`` prints r_[Z_K], s_[Z_K]
+and the scalars, so it pins Z_K and E_0^* too.  Rewrite them only for an
+intended change of output.
 """
 
 import json
@@ -29,7 +31,7 @@ def test_batch_golden(tmp_path):
     assert out.read_bytes() == (GOLDEN / "batch.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["semigroup", "info"])
+@pytest.mark.parametrize("command", ["semigroup", "info", "frobenius", "laufer"])
 def test_command_golden(command, capsys):
     chunks = []
     for line in valid_records():

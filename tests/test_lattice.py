@@ -1,8 +1,11 @@
+import json
 import math
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from seifert_semigroup import (
     SeifertData,
@@ -22,9 +25,11 @@ from seifert_semigroup import (
     unit_cycle,
     zero_cycle,
 )
+from seifert_semigroup.cli import full_report
 from seifert_semigroup.lattice import (
     cf_value,
     hirzebruch_cf,
+    intersection_matrix,
     orbifold_euler_number,
     pairing_with_vertex,
     smith_invariants,
@@ -184,13 +189,90 @@ def test_group_order_matches_seifert_formula():
         assert group_order(build_graph(sf)) == invariants(sf).order_h
 
 
+def sylvester_negative_definite(g):
+    """Oracle: Sylvester's criterion on -I by symmetric elimination in vertex order."""
+    n = g.n
+    m = [[F(-x) for x in row] for row in intersection_matrix(g)]
+    for t in range(n):
+        if m[t][t] <= 0:
+            return False
+        for r in range(t + 1, n):
+            f = m[r][t] / m[t][t]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[t])]
+    return True
+
+
+def dense_solve(g, columns):
+    """Oracle: I x = rhs for each rhs in ``columns``, by exact Gauss-Jordan
+    elimination on the dense matrix."""
+    n = g.n
+    aug = [[F(x) for x in row] + [F(rhs[i]) for rhs in columns] for i, row in enumerate(intersection_matrix(g))]
+    for c in range(n):
+        p = next(r for r in range(c, n) if aug[r][c] != 0)
+        aug[c], aug[p] = aug[p], aug[c]
+        aug[c] = [x / aug[c][c] for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [cycle(aug[i][n + k] for i in range(n)) for k in range(len(columns))]
+
+
+@st.composite
+def star_graphs(draw):
+    """3-6 legs of 1-4 vertices, leg decorations -2..-9, centre -1..-6."""
+    chains = draw(st.lists(st.lists(st.integers(-9, -2), min_size=1, max_size=4), min_size=3, max_size=6))
+    euler, legs = [draw(st.integers(-6, -1))], []
+    for chain in chains:
+        legs.append(tuple(range(len(euler), len(euler) + len(chain))))
+        euler.extend(chain)
+    return StarGraph(euler=tuple(euler), legs=tuple(legs))
+
+
+@settings(deadline=None)
+@given(star_graphs())
+def test_tree_solve_matches_dense_oracle(g):
+    assume(orbifold_euler_number(g) < 0)
+    columns = [[e + 2 for e in g.euler]] + [[-1 if u == v else 0 for u in range(g.n)] for v in range(g.n)]
+    zk, *duals = dense_solve(g, columns)
+    assert canonical_cycle(g) == zk
+    assert [dual_cycle(g, v) for v in range(g.n)] == duals
+
+
+@given(star_graphs())
+def test_tree_solve_refuses_indefinite_graphs(g):
+    assume(orbifold_euler_number(g) >= 0)
+    with pytest.raises(ArithmeticError):
+        canonical_cycle(g)
+    with pytest.raises(ArithmeticError):
+        dual_cycle(g, 0)
+
+
 def test_negative_definiteness_tracks_euler_number_sign():
     rng = seeded_rng(4)
     for _ in range(30):
         d = rng.randint(3, 5)
         euler = [-rng.randint(1, 3)] + [-rng.randint(2, 9) for _ in range(d)]
         g = StarGraph(euler=tuple(euler), legs=tuple((i + 1,) for i in range(d)))
-        assert is_negative_definite(g) == (orbifold_euler_number(g) < 0)
+        assert is_negative_definite(g) == sylvester_negative_definite(g) == (orbifold_euler_number(g) < 0)
+
+
+def test_no_module_level_caches():
+    """Graph data lives on the graph object; no package function keeps a cache."""
+    corpus = Path(__file__).parent / "golden" / "corpus.jsonl"
+    for line in corpus.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["id"] != "bad":
+            full_report(record)
+    cached = [
+        f"{name}.{attr}"
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "seifert_semigroup"
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
 
 
 def test_invalid_graphs_rejected():
