@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import laufer
 from .errors import RationalLinkError
@@ -44,18 +45,19 @@ class AugmentedPair:
     """Base Seifert data together with its (n, 1)-augmented companion.
 
     The augmented graph reuses the base vertex ids and appends the new leg
-    vertex last, so the inclusion j is coefficient extension by zero.
+    vertex last, so the inclusion j is coefficient extension by zero.  Both
+    graphs are built on first use and kept on the pair.
     """
 
     base: SeifertData
     n: int
     augmented: SeifertData
 
-    @property
+    @cached_property
     def base_graph(self) -> StarGraph:
         return build_graph(self.base)
 
-    @property
+    @cached_property
     def augmented_graph(self) -> StarGraph:
         return build_graph(self.augmented)
 
@@ -144,7 +146,9 @@ class PropCompReport:
     detail: str = ""
 
 
-def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropCompReport:
+def verify_prop_comp(
+    sf: SeifertData, bound: int, n: int | None = None, g: StarGraph | None = None
+) -> PropCompReport:
     """Check that the augmented module equals the base semigroup on [0, bound].
 
     With ``n`` given, that single augmentation is tested.  Otherwise n starts
@@ -152,13 +156,14 @@ def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropC
     sufficiency threshold -- and doubles on failure, at most four times.
     Alongside membership, the module Frobenius number of the augmented graph
     (lattice formula) must equal the brute-force semigroup Frobenius number
-    of the base whenever the base semigroup is nontrivial.
+    of the base whenever the base semigroup is nontrivial.  ``g`` is the
+    plumbing graph of ``sf``, built here when needed and not given.
     """
     inv = invariants(sf)
     if n is not None:
         candidates = [n]
     else:
-        sc = laufer.scalars(build_graph(sf))
+        sc = (build_graph(sf) if g is None else g).scalars
         start = max(
             ceil_frac(1 / (-inv.e)) + 1,
             ceil_frac(inv.gamma - sc.s + inv.alpha) + 1,

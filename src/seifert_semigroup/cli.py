@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, classify
-from .errors import RationalLinkError, TrivialSemigroupError
+from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
 from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, dual_cycle, r_of_class, zero_cycle
 from .seifert import (
     SeifertData,
@@ -176,16 +176,17 @@ def cmd_info(args) -> int:
 def cmd_frobenius(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
+    g = None if args.method == "brute" else build_graph(sf)  # one graph for both formula routes
     out = _start(record)
     semi: dict = {"trivial": sf.trivial}
     if sf.trivial:
         semi["frobenius"] = -1
     elif args.method == "formula":
-        semi["frobenius"] = frobenius_by_formula(sf)
+        semi["frobenius"] = frobenius_by_formula(sf, g)
     elif args.method == "brute":
         semi["frobenius"] = frobenius_bruteforce(sf)
     else:
-        formula, brute = frobenius_by_formula(sf), frobenius_bruteforce(sf)
+        formula, brute = frobenius_by_formula(sf, g), frobenius_bruteforce(sf)
         if formula != brute:
             print(f"verification failure: formula {formula} != brute {brute}", file=sys.stderr)
             return EXIT_VERIFY
@@ -196,11 +197,11 @@ def cmd_frobenius(args) -> int:
     module: dict = {"rational": False}
     try:
         if args.method == "formula":
-            module["frobenius"] = laufer.frobenius_module(build_graph(sf))
+            module["frobenius"] = laufer.frobenius_module(g)
         elif args.method == "brute":
             module["frobenius"] = frobenius_bruteforce(sf, "module")
         else:
-            formula, brute = laufer.frobenius_module(build_graph(sf)), frobenius_bruteforce(sf, "module")
+            formula, brute = laufer.frobenius_module(g), frobenius_bruteforce(sf, "module")
             if formula != brute:
                 print(f"verification failure: module formula {formula} != brute {brute}", file=sys.stderr)
                 return EXIT_VERIFY
@@ -252,7 +253,7 @@ def cmd_laufer(args) -> int:
         start_class = class_rep(zero_cycle(g.n))
     r = r_of_class(start_class)
     result, trace = laufer.to_antinef(g, r, trace=args.trace)
-    sc = laufer.scalars(g)
+    sc = g.scalars
     out = _start(record)
     out["class"] = args.class_rep
     out["r"] = fmt_cycle(r)
@@ -465,6 +466,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except VerificationError as ex:
+        print(f"verification failure: {ex}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ValueError, KeyError, OSError, TrivialSemigroupError, RationalLinkError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT

@@ -8,3 +8,12 @@ class TrivialSemigroupError(ValueError):
 class RationalLinkError(ValueError):
     """The link is rational: the module contains every nonnegative integer,
     so it has no positive Frobenius number."""
+
+
+class VerificationError(AssertionError):
+    """Two independent routes to the same quantity disagree.
+
+    Raised by explicit checks, so unlike a bare ``assert`` it survives
+    ``python -O``.  It subclasses AssertionError, so handlers written for
+    failed assertions still catch it.
+    """

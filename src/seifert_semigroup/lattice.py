@@ -30,6 +30,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
+    from .laufer import LauferScalars
     from .seifert import SeifertData
 
 Rat = int | Fraction
@@ -70,7 +71,8 @@ class StarGraph:
     the vertex ids of each leg, ordered from the centre outward.  The centre
     is always vertex 0.  A graph with e >= 0 can be built, but solving on it
     raises ArithmeticError.  What the graph alone determines (adjacency,
-    elimination pivots, Z_K) is computed on first use and kept on the graph.
+    elimination pivots, Z_K, the Laufer scalars) is computed on first use and
+    kept on the graph.
     """
 
     euler: tuple[int, ...]
@@ -128,6 +130,13 @@ class StarGraph:
     @cached_property
     def zk(self) -> RationalCycle:
         return _solve(self, [e + 2 for e in self.euler])
+
+    @cached_property
+    def scalars(self) -> LauferScalars:
+        """The Laufer scalars of the graph (see :func:`laufer.scalars`)."""
+        from . import laufer  # laufer builds on this module
+
+        return laufer.scalars(self)
 
 
 def build_graph(sf: SeifertData) -> StarGraph:
@@ -237,10 +246,6 @@ def pairing_with_vertex(g: StarGraph, l: RationalCycle, v: int) -> Fraction:
     for u in g.neighbors(v):
         s += l[u]
     return s
-
-
-def pairing_vector(g: StarGraph, l: RationalCycle) -> tuple[Fraction, ...]:
-    return tuple(pairing_with_vertex(g, l, v) for v in range(g.n))
 
 
 def pairing(g: StarGraph, a: RationalCycle, b: RationalCycle) -> Fraction:

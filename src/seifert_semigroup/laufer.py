@@ -25,17 +25,33 @@ and the endpoint is unique, so the number of rounds stays small even when
 the endpoint's coefficients are large.  Traced runs add one base element at
 a time and record chi after every step; chi never increases along such a
 sequence.
+
+The loop runs on integers.  Every cycle reached is the start plus an integer
+vector x, so the pairing with E_v is p_v = b_v + q_v, where b_v = (start, E_v)
+is fixed and q_v = (x, E_v) is an integer.  With L the common denominator of
+the start, L*b_v = t_v is an integer computed once, p_v > 0 is
+q_v >= floor(-t_v/L) + 1, a threshold fixed per vertex, and the bulk step
+ceil(p_v / -euler(v)) is the integer ceiling of (t_v + L*q_v)/(L*(-euler(v))).
+Adding E_v changes only q_v and the q_u of its neighbours, so the vertices of
+positive pairing are kept as a sorted worklist, updated per step in
+O(deg v) instead of rescanned.  Since the worklist is exactly the sorted list
+of positive allowed vertices that a rescan would build, "min", "max" and
+"random" pick the same vertex (and draw the same random numbers) as a
+rescanning loop would, so traces and their chi values do not depend on this
+bookkeeping.  Only traced runs touch fractions inside the loop, for chi.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import RationalLinkError
+from .errors import RationalLinkError, VerificationError
 from .lattice import (
     ClassRep,
     RationalCycle,
@@ -45,13 +61,12 @@ from .lattice import (
     class_rep,
     dual_cycle,
     is_antinef,
-    pairing_vector,
     pairing_with_vertex,
     r_of_class,
     unit_cycle,
     zero_cycle,
 )
-from .seifert import ceil_frac, from_graph, is_rational_link, quasilinear
+from .seifert import from_graph, is_rational_link, quasilinear
 
 DEFAULT_STEP_BUDGET = 10**7
 
@@ -102,46 +117,59 @@ def to_antinef(
     vertices with positive pairing: "min" (default), "max", or "random"
     (needs ``rng``); the endpoint is the same for every strategy.
     """
-    allowed = tuple(range(g.n)) if vertices is None else tuple(sorted(set(vertices)))
-    coeffs = list(start.coeffs)
-    p = list(pairing_vector(g, start))
-    adj = g.adjacency
+    if strategy not in ("min", "max", "random"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "random" and rng is None:
+        raise ValueError("strategy 'random' needs an rng")
+    allowed = range(g.n) if vertices is None else sorted(set(vertices))
+    is_allowed = [False] * g.n
+    for v in allowed:
+        is_allowed[v] = True
     euler = g.euler
+    # with L the common denominator of ``start``, L * p_v = t_v + L * q_v, where
+    # t_v = (L * start, E_v) is an integer and q_v = (x, E_v) for the integer
+    # vector x added so far; so p_v > 0 iff q_v >= thr_v = floor(-t_v / L) + 1
+    scale = math.lcm(*(c.denominator for c in start.coeffs))
+    a = [c.numerator * (scale // c.denominator) for c in start.coeffs]
+    t = [e * a[v] + sum(a[u] for u in adj) for v, (e, adj) in enumerate(zip(euler, g.adjacency))]
+    thr = [-tv // scale + 1 for tv in t]
+    step = [scale * -e for e in euler]
+    nbrs = [tuple(u for u in adj if is_allowed[u]) for adj in g.adjacency]
     budget = _step_budget(step_budget)
+    q = [0] * g.n
+    x = [0] * g.n
+    positive = [v for v in allowed if thr[v] <= 0]  # sorted, as ``allowed`` is
     steps: list[tuple[int, Fraction]] = []
     chi_running = chi(g, start) if trace else None
     added = 0
-    while True:
-        positive = [v for v in allowed if p[v] > 0]
-        if not positive:
-            break
+    while positive:
         if strategy == "min":
             v = positive[0]
         elif strategy == "max":
             v = positive[-1]
-        elif strategy == "random":
-            if rng is None:
-                raise ValueError("strategy 'random' needs an rng")
-            v = rng.choice(positive)
         else:
-            raise ValueError(f"unknown strategy {strategy!r}")
+            v = rng.choice(positive)
         # adding k*E_v is k valid single steps as long as the pairing stays
-        # positive, i.e. for k = ceil(p_v / -euler_v)
-        k = 1 if trace else ceil_frac(p[v] / (-euler[v]))
+        # positive, i.e. for k = ceil(p_v / -euler_v) = ceil(L * p_v / step_v)
+        k = 1 if trace else -((-t[v] - scale * q[v]) // step[v])
         added += k
         if added > budget:
             raise RuntimeError(
                 f"computation sequence exceeded the step budget ({budget}); "
                 "this indicates a bug or a non-negative-definite graph"
             )
-        coeffs[v] += k
+        x[v] += k
         if trace:
-            chi_running = chi_running + 1 - p[v]
+            chi_running = chi_running + 1 - (Fraction(t[v], scale) + q[v])
             steps.append((v, chi_running))
-        p[v] += k * euler[v]
-        for u in adj[v]:
-            p[u] += k
-    result = RationalCycle(tuple(coeffs))
+        q[v] += k * euler[v]
+        if q[v] < thr[v]:
+            del positive[bisect_left(positive, v)]
+        for u in nbrs[v]:
+            if q[u] < thr[u] <= q[u] + k:
+                insort(positive, u)
+            q[u] += k
+    result = RationalCycle(tuple(c + dx if dx else c for c, dx in zip(start.coeffs, x)))
     if trace:
         return result, LauferTrace(start=start, steps=tuple(steps), result=result)
     return result, None
@@ -166,7 +194,8 @@ def x_series(g: StarGraph, rep: ClassRep, up_to: int, *, step_budget: int | None
         cycles.append(current)
     r0 = rep.fractional[0]
     for ell, x in enumerate(cycles):
-        assert x[0] == r0 + ell, "central coefficient must advance by one per rung"
+        if x[0] != r0 + ell:
+            raise VerificationError(f"central coefficient of x^{ell} is {x[0]}, not {r0 + ell}")
     n_values = tuple(-pairing_with_vertex(g, x, 0) for x in cycles)
     return XSeries(rep=rep, cycles=tuple(cycles), n_values=n_values)
 
@@ -195,8 +224,10 @@ def scalars(g: StarGraph) -> LauferScalars:
     s_cycle, _ = to_antinef(g, r)
     delta = s_cycle[0] - r[0]
     big_delta = zk[0] - r[0]
-    assert delta.denominator == 1 and big_delta.denominator == 1
-    assert zk >= s_cycle, "Z_K must dominate s_[Z_K]"
+    if delta.denominator != 1 or big_delta.denominator != 1:
+        raise VerificationError(f"delta = {delta} and Delta = {big_delta} must be integers")
+    if not zk >= s_cycle:
+        raise VerificationError("Z_K does not dominate s_[Z_K]")
     r2 = r_of_class(class_rep(zk + dual_cycle(g, 0)))
     s_check_cycle, _ = to_antinef(g, r2)
     return LauferScalars(
@@ -221,13 +252,15 @@ def frobenius_module(g: StarGraph) -> int:
         raise RationalLinkError(
             "rational link: the module contains all of Z_{>=0}, no positive Frobenius number"
         )
-    sc = scalars(g)
+    sc = g.scalars
     zk = canonical_cycle(g)
     gamma = zk[0] - 1
     candidates = {gamma - sc.s, Fraction(sc.big_delta - sc.delta - 1), (zk - sc.s_cycle)[0] - 1}
-    assert len(candidates) == 1, f"module Frobenius expressions disagree: {candidates}"
+    if len(candidates) != 1:
+        raise VerificationError(f"module Frobenius expressions disagree: {sorted(candidates)}")
     value = candidates.pop()
-    assert value.denominator == 1 and value >= 1
+    if value.denominator != 1 or value < 1:
+        raise VerificationError(f"module Frobenius number {value} is not a positive integer")
     return int(value)
 
 
@@ -249,7 +282,7 @@ def dual_check(g: StarGraph, *, step_budget: int | None = None) -> DualityReport
     and the sign pattern of (x*(l), E_0) across the ladder.
     """
     sf = from_graph(g)
-    sc = scalars(g)
+    sc = g.scalars
     delta, big_delta = sc.delta, sc.big_delta
     failures = []
     zk = canonical_cycle(g)

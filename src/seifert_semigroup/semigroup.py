@@ -24,9 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from . import laufer
-from .errors import RationalLinkError, TrivialSemigroupError
-from .lattice import build_graph, canonical_cycle, dual_cycle
+from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
+from .lattice import StarGraph, build_graph, canonical_cycle, dual_cycle
 from .seifert import (
     QuasilinearTable,
     SeifertData,
@@ -165,28 +164,32 @@ def frobenius_module_raw(link: Link | SeifertData) -> int:
     return as_link(link).module_frobenius_raw
 
 
-def frobenius_by_formula(sf: SeifertData) -> int:
+def frobenius_by_formula(sf: SeifertData, g: StarGraph | None = None) -> int:
     """Frobenius number of the semigroup: gamma + 1/|e| - s-check.
 
-    Needs b0 < d (otherwise the semigroup is trivial).  The special shapes
-    are cross-asserted: for orbit order one the formula collapses to
+    Needs b0 < d (otherwise the semigroup is trivial).  ``g`` is the plumbing
+    graph of ``sf``, built here when not given.  The special shapes are
+    cross-checked: for orbit order one the formula collapses to
     gamma + alpha - s, and in the numerically Gorenstein case the value is
-    gamma + m_0(E_0^* - s_[E_0^*]) >= gamma.
+    gamma + m_0(E_0^* - s_[E_0^*]) >= gamma; a failed check raises
+    :class:`VerificationError`.
     """
     if sf.trivial:
         raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
     inv = invariants(sf)
-    g = build_graph(sf)
-    sc = laufer.scalars(g)
-    inv_e = 1 / (-inv.e)
-    f = inv.gamma + inv_e - sc.s_check
-    assert f.denominator == 1, f"formula value {f} is not an integer"
-    if inv.orbit_order == 1:
-        assert f == inv.gamma + inv.alpha - sc.s
+    g = build_graph(sf) if g is None else g
+    sc = g.scalars
+    f = inv.gamma + 1 / (-inv.e) - sc.s_check
+    if f.denominator != 1:
+        raise VerificationError(f"formula value {f} is not an integer")
+    if inv.orbit_order == 1 and f != inv.gamma + inv.alpha - sc.s:
+        raise VerificationError(f"formula value {f} != gamma + alpha - s = {inv.gamma + inv.alpha - sc.s}")
     if canonical_cycle(g).is_integral():
-        e0 = dual_cycle(g, 0)
-        assert f == inv.gamma + (e0 - sc.s_check_cycle)[0]
-        assert f >= inv.gamma
+        gorenstein = inv.gamma + (dual_cycle(g, 0) - sc.s_check_cycle)[0]
+        if f != gorenstein or f < inv.gamma:
+            raise VerificationError(
+                f"formula value {f} != gamma + m_0(E_0^* - s_[E_0^*]) = {gorenstein}, or < gamma"
+            )
     return int(f)
 
 

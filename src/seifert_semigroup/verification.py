@@ -169,7 +169,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     link = Link(sf)
     ap = link.ap
     if not sf.trivial:
-        f_formula = frobenius_by_formula(sf)
+        f_formula = frobenius_by_formula(sf, g)
         f_brute = frobenius_bruteforce(sf)
         check("semigroup_frobenius_agreement", f_formula == f_brute,
               f"formula {f_formula} != brute {f_brute}")
@@ -204,7 +204,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         from .augment import verify_prop_comp  # local import to avoid a cycle
 
         bound = floor_frac(inv.alpha + inv.gamma) + 10
-        prop = verify_prop_comp(sf, bound)
+        prop = verify_prop_comp(sf, bound, g=g)
         check("augmented_module_stabilises", prop.passed, prop.detail)
 
     return results

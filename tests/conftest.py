@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from seifert_semigroup import SeifertData, build_graph, ihs_from_alphas
+from seifert_semigroup import SeifertData, StarGraph, build_graph, ihs_from_alphas
 
 
 @pytest.fixture
@@ -50,3 +51,14 @@ def golden_graphs(sf_star70, sf_base4, sf_asym5, sf_gor7, sf_237):
 
 def seeded_rng(tag: int) -> random.Random:
     return random.Random(20260809 + tag)
+
+
+@st.composite
+def star_graphs(draw):
+    """3-6 legs of 1-4 vertices, leg decorations -2..-9, centre -1..-6."""
+    chains = draw(st.lists(st.lists(st.integers(-9, -2), min_size=1, max_size=4), min_size=3, max_size=6))
+    euler, legs = [draw(st.integers(-6, -1))], []
+    for chain in chains:
+        legs.append(tuple(range(len(euler), len(euler) + len(chain))))
+        euler.extend(chain)
+    return StarGraph(euler=tuple(euler), legs=tuple(legs))

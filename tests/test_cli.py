@@ -213,3 +213,25 @@ def test_checks_survive_optimize_flag():
     )
     result = _python("-O", "-c", indefinite)
     assert result.returncode == 0 and result.stdout == "refused\n", result.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("field, shift", [("s", "1"), ("s_check", "1/2")])
+def test_inconsistent_scalars_are_a_verification_failure(flags, field, shift):
+    """Skewed Laufer scalars make the formula routes' cross-checks fail: one
+    `verification failure` line and exit 2, with or without -O."""
+    script = (
+        "import dataclasses, sys\n"
+        "from fractions import Fraction\n"
+        "from seifert_semigroup import cli, laufer\n"
+        "exact = laufer.scalars\n"
+        "def skewed(g):\n"
+        "    sc = exact(g)\n"
+        f"    return dataclasses.replace(sc, {field}=sc.{field} + Fraction('{shift}'))\n"
+        "laufer.scalars = skewed\n"
+        f"sys.exit(cli.main(['frobenius', {SEC5!r}, '--method', 'formula']))\n"
+    )
+    result = _python(*flags, "-c", script)
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert result.stderr.startswith("verification failure: ") and result.stderr.count("\n") == 1

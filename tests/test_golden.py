@@ -5,8 +5,10 @@ numerically Gorenstein records, homology spheres, Brieskorn-Hamm records of
 both shapes and one invalid record.  Beside it are the expected ``batch``
 output and the stdout of ``semigroup``, ``info``, ``frobenius`` and ``laufer``
 on each valid record, one line per record; ``laufer`` prints r_[Z_K], s_[Z_K]
-and the scalars, so it pins Z_K and E_0^* too.  Rewrite them only for an
-intended change of output.
+and the scalars, so it pins Z_K and E_0^* too.  ``laufer_trace.jsonl`` holds
+``laufer --trace`` for the classes [Z_K] and [Z_K + E_0^*] of each valid
+record, which pins the vertex order and chi of every single step.  Rewrite
+them only for an intended change of output.
 """
 
 import json
@@ -38,3 +40,12 @@ def test_command_golden(command, capsys):
         assert main([command, line]) == 0
         chunks.append(capsys.readouterr().out)
     assert "".join(chunks).encode("utf-8") == (GOLDEN / f"{command}.jsonl").read_bytes()
+
+
+def test_laufer_trace_golden(capsys):
+    chunks = []
+    for line in valid_records():
+        for cls in ("zk", "zk+e0"):
+            assert main(["laufer", line, "--class", cls, "--trace"]) == 0
+            chunks.append(capsys.readouterr().out)
+    assert "".join(chunks).encode("utf-8") == (GOLDEN / "laufer_trace.jsonl").read_bytes()

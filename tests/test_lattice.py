@@ -36,7 +36,7 @@ from seifert_semigroup.lattice import (
 )
 from seifert_semigroup.verification import random_seifert
 
-from conftest import seeded_rng
+from conftest import seeded_rng, star_graphs
 
 
 def test_continued_fraction_examples():
@@ -217,17 +217,6 @@ def dense_solve(g, columns):
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     return [cycle(aug[i][n + k] for i in range(n)) for k in range(len(columns))]
-
-
-@st.composite
-def star_graphs(draw):
-    """3-6 legs of 1-4 vertices, leg decorations -2..-9, centre -1..-6."""
-    chains = draw(st.lists(st.lists(st.integers(-9, -2), min_size=1, max_size=4), min_size=3, max_size=6))
-    euler, legs = [draw(st.integers(-6, -1))], []
-    for chain in chains:
-        legs.append(tuple(range(len(euler), len(euler) + len(chain))))
-        euler.extend(chain)
-    return StarGraph(euler=tuple(euler), legs=tuple(legs))
 
 
 @settings(deadline=None)

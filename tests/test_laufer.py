@@ -1,7 +1,9 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from seifert_semigroup import (
     RationalLinkError,
@@ -23,10 +25,16 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
-from seifert_semigroup.lattice import intersection_matrix, pairing_with_vertex
+from seifert_semigroup.lattice import (
+    RationalCycle,
+    intersection_matrix,
+    orbifold_euler_number,
+    pairing_with_vertex,
+)
+from seifert_semigroup.seifert import ceil_frac
 from seifert_semigroup.verification import random_seifert
 
-from conftest import seeded_rng
+from conftest import seeded_rng, star_graphs
 
 
 def test_to_antinef_fixes_zero(golden_graphs):
@@ -221,3 +229,87 @@ def test_step_budget_guard(sf_gor7):
     r = r_of_class(class_rep(canonical_cycle(g) + dual_cycle(g, 0)))
     with pytest.raises(RuntimeError):
         to_antinef(g, r, step_budget=3)
+
+
+def test_unknown_strategy_rejected_before_the_loop(golden_graphs):
+    g = golden_graphs["star70"]
+    with pytest.raises(ValueError, match="unknown strategy"):
+        to_antinef(g, zero_cycle(g.n), strategy="bogus")
+
+
+def test_random_strategy_needs_rng_before_the_loop(golden_graphs):
+    g = golden_graphs["star70"]
+    with pytest.raises(ValueError, match="needs an rng"):
+        to_antinef(g, zero_cycle(g.n), strategy="random")
+
+
+def rescan_to_antinef(g, start, vertices=None, trace=False, strategy="min", rng=None):
+    """Oracle: the computation sequence that rescans the Fraction pairing of
+    every allowed vertex each round (the kernel before the integer worklist).
+    Returns the endpoint and the (vertex, chi) steps, or None untraced."""
+    allowed = tuple(range(g.n)) if vertices is None else tuple(sorted(set(vertices)))
+    coeffs = list(start.coeffs)
+    p = [pairing_with_vertex(g, start, v) for v in range(g.n)]
+    steps = []
+    chi_running = chi(g, start) if trace else None
+    while True:
+        positive = [v for v in allowed if p[v] > 0]
+        if not positive:
+            break
+        if strategy == "min":
+            v = positive[0]
+        elif strategy == "max":
+            v = positive[-1]
+        else:
+            v = rng.choice(positive)
+        k = 1 if trace else ceil_frac(p[v] / (-g.euler[v]))
+        coeffs[v] += k
+        if trace:
+            chi_running = chi_running + 1 - p[v]
+            steps.append((v, chi_running))
+        p[v] += k * g.euler[v]
+        for u in g.adjacency[v]:
+            p[u] += k
+    return RationalCycle(tuple(coeffs)), (tuple(steps) if trace else None)
+
+
+@st.composite
+def laufer_starts(draw):
+    """A negative-definite star graph, a start cycle and an allowed vertex set:
+    r_h of a drawn class with all vertices, x^l + E_0 on the non-central ones,
+    or an arbitrary rational cycle with either set."""
+    g = draw(star_graphs())
+    assume(orbifold_euler_number(g) < 0)
+    kind = draw(st.sampled_from(["r_h", "ladder", "rational"]))
+    if kind == "r_h":
+        mix = canonical_cycle(g) * draw(st.integers(0, 1))
+        for v in draw(st.lists(st.integers(0, g.n - 1), max_size=3)):
+            mix = mix + dual_cycle(g, v)
+        return g, r_of_class(class_rep(mix)), None
+    if kind == "ladder":
+        rep = class_rep(draw(st.sampled_from([zero_cycle(g.n), canonical_cycle(g)])))
+        x = x_series(g, rep, draw(st.integers(0, 3))).cycles[-1]
+        return g, x + unit_cycle(g.n, 0), range(1, g.n)
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=7), min_size=g.n, max_size=g.n))
+    return g, cycle(coeffs), draw(st.sampled_from([None, range(1, g.n)]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(laufer_starts(), st.integers(0, 2**32 - 1))
+def test_worklist_kernel_matches_rescan_oracle(case, seed):
+    g, start, vertices = case
+    end, _ = to_antinef(g, start, vertices=vertices)
+    assert end == rescan_to_antinef(g, start, vertices)[0]
+    # single-stepped sequences take sum(end - start) steps; keep them short
+    traced = sum(end - start) <= 400
+    for strategy in ("min", "max", "random"):
+        for trace in (False, True) if traced else (False,):
+            got, tr = to_antinef(
+                g, start, vertices=vertices, trace=trace, strategy=strategy, rng=random.Random(seed)
+            )
+            want, want_steps = rescan_to_antinef(
+                g, start, vertices, trace=trace, strategy=strategy, rng=random.Random(seed)
+            )
+            assert got == want == end
+            if trace:
+                assert tr.steps == want_steps
