@@ -14,11 +14,13 @@ homology sphere exactly when, after a permutation, it has one of two shapes:
 Anything else has positive base genus and is out of scope.
 
 For both shapes the semigroup of the link is generated by explicit products
-of complementary multiplicities; the Seifert data is synthesised from the
-congruence omega_i * (lcm(a)/a_i) = -1 (mod alpha_i) in case (i), and in
-case (ii) by searching the finitely many normalized candidates compatible
-with orbit order two and keeping the ones whose semigroup matches the
-generator list (the lexicographically least passing choice is returned).
+of complementary multiplicities (:func:`bh_generators`), and the Seifert data
+has a closed form (Neumann 1977; Neumann & Raymond 1978): with the cofactor
+q_i = lcm(a)/a_i of each slot, omega_i * q_i = -1 (mod alpha_i), and b0 gives
+the orbit order, one in case (i) and two in case (ii).  Both cases are one
+call of :func:`seifert.from_congruence`; nothing is searched and no table of
+N is built.  :func:`check_generators` compares the generator list with the
+semigroup of the record's period table, where one is built anyway.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .semigroup import Link, monoid_sieve
-from .seifert import SeifertData, invariants, shared_factor_pair
+from .errors import VerificationError
+from .semigroup import monoid_sieve
+from .seifert import SeifertData, from_congruence, shared_factor_pair
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -122,68 +125,19 @@ def bh_generators(cls: BHClassification) -> list[int]:
     return sorted(set(gens))
 
 
-def _leg_list(cls: BHClassification, omegas: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    legs = []
-    for alpha, s, w in zip(cls.alphas, cls.multiplicities, omegas):
-        if alpha == 1:
-            continue
-        legs.extend([(alpha, w)] * s)
-    return tuple(legs)
-
-
 def bh_seifert(cls: BHClassification) -> SeifertData:
-    """Seifert data of the link; validated against the generator theorem.
+    """Seifert data of the link, in closed form.
 
-    Case (i) is direct: omega_i solves omega_i*q_i = -1 (mod alpha_i) with
-    q_i = lcm(a)/a_i, and b0 makes the orbit order one.  Case (ii) searches
-    the normalized (omega_i, b0) with orbit order two and accepts the
-    lexicographically least choice whose semigroup membership reproduces the
-    monoid of :func:`bh_generators` on [0, f + 2*alpha].
+    Each slot gives s_i legs (alpha_i, omega_i) with omega_i*q_i = -1
+    (mod alpha_i), where q_i = lcm(a)/a_i for the slot's exponent a_i; b0
+    makes the orbit order one in case (i) and two in case (ii).
     """
     if cls.case == NOT_QHS:
         raise ValueError("not a rational homology sphere")
     big_lcm = math.lcm(*cls.exponents)
-    alpha = math.prod(cls.alphas)  # pairwise coprime slots, = lcm of the legs
-
-    if cls.case == CASE_I:
-        omegas = [
-            pow(big_lcm // a_i, -1, alpha_i) * (alpha_i - 1) % alpha_i if alpha_i > 1 else 0
-            for a_i, alpha_i in zip(_slot_exponents(cls), cls.alphas)
-        ]
-        legs = _leg_list(cls, omegas)
-        if len(legs) < 3:
-            raise ValueError("degenerate input: fewer than 3 legs after dropping trivial slots")
-        target = 1
-    else:
-        best = None
-        gens = bh_generators(cls)
-        unit_ranges = [
-            [w for w in range(1, a) if math.gcd(w, a) == 1] if a > 1 else [0]
-            for a in cls.alphas
-        ]
-        for omegas in itertools.product(*unit_ranges):
-            legs = _leg_list(cls, omegas)
-            if len(legs) < 3:
-                raise ValueError("degenerate input: fewer than 3 legs after dropping trivial slots")
-            num = 2 + sum(w * (alpha // a) for a, w in legs)
-            if num % alpha:
-                continue
-            cand = Link(SeifertData(num // alpha, legs))
-            if _matches_generators(cand, gens):
-                best = cand.sf
-                break
-        if best is None:
-            raise ArithmeticError(
-                f"no normalized Seifert data with orbit order 2 matches the generators {gens} "
-                f"for exponents {cls.exponents}"
-            )
-        return best
-
-    num = target + sum(w * (alpha // a) for a, w in legs)
-    assert num % alpha == 0, "orbit-order constraint must have an integer solution"
-    sf = SeifertData(num // alpha, legs)
-    assert invariants(sf).orbit_order == target
-    return sf
+    cofactors = (big_lcm // a for a in _slot_exponents(cls))
+    orbit_order = 1 if cls.case == CASE_I else 2
+    return from_congruence(zip(cls.alphas, cofactors, cls.multiplicities), orbit_order)
 
 
 def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
@@ -193,8 +147,14 @@ def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
     return (2**cls.c * cls.p[0], 2 * cls.p[1], 2 * cls.p[2]) + cls.p[3:]
 
 
-def _matches_generators(link: Link, gens: list[int]) -> bool:
-    """Membership of the monoid of ``gens`` equals that of S on [0, f + 2*alpha]."""
+def check_generators(link, gens: list[int]) -> None:
+    """Check that the monoid of ``gens`` is the semigroup of ``link`` (a :class:`semigroup.Link`).
+
+    Membership is compared on [0, f + 2*alpha], f the Frobenius number of
+    the semigroup; a mismatch raises VerificationError.
+    """
     hi = max(link.ap.frobenius, 0) + 2 * link.inv.alpha
     table = monoid_sieve(gens, hi)
-    return all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
+    bad = next((ell for ell in range(hi + 1) if bool(table[ell]) != link.in_semigroup(ell)), None)
+    if bad is not None:
+        raise VerificationError(f"the generators {gens} and the semigroup of {link.sf} disagree at {bad}")

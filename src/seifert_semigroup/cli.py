@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import laufer, verification
-from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, classify
+from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
 from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, dual_cycle, r_of_class, zero_cycle
 from .seifert import (
@@ -147,12 +147,14 @@ def full_report(record: dict) -> dict:
     out["module"] = {"frobenius": link.module_frobenius_raw, "min": link.module_min}
     if "bh" in record:
         cls = record_bh(record)
+        gens = bh_generators(cls)
+        check_generators(link, gens)
         out["bh"] = {
             "case": cls.case,
             "m": cls.m,
             "c": cls.c,
             "p": list(cls.p),
-            "generators": bh_generators(cls),
+            "generators": gens,
             "seifert": {"b0": link.sf.b0, "legs": [list(leg) for leg in link.sf.legs]},
         }
     return out
@@ -252,8 +254,11 @@ def cmd_laufer(args) -> int:
     else:
         start_class = class_rep(zero_cycle(g.n))
     r = r_of_class(start_class)
-    result, trace = laufer.to_antinef(g, r, trace=args.trace)
     sc = g.scalars
+    if args.trace or args.class_rep == "zero":
+        result, trace = laufer.to_antinef(g, r, trace=args.trace)
+    else:  # the scalars already ran the sequences of [Z_K] and [Z_K + E_0^*]
+        result = sc.s_cycle if args.class_rep == "zk" else sc.s_check_cycle
     out = _start(record)
     out["class"] = args.class_rep
     out["r"] = fmt_cycle(r)
@@ -294,6 +299,13 @@ def cmd_bh(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.random is not None:
+        for option, value, least in (
+            ("--random", args.random, 0),
+            ("--max-alpha", args.max_alpha, 2),
+            ("--max-legs", args.max_legs, 3),
+        ):
+            if value < least:
+                raise ValueError(f"{option} must be at least {least}, got {value}")
         results = verification.verify_random(
             args.random, seed=args.seed, max_alpha=args.max_alpha, max_legs=args.max_legs
         )

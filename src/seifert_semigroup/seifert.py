@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
+from .errors import VerificationError
 from .lattice import StarGraph, build_graph, canonical_cycle, cf_value
 
 
@@ -91,7 +92,8 @@ def invariants(sf: SeifertData) -> SeifertInvariants:
     alpha = reduce(math.lcm, (a for a, _ in sf.legs))
     order_h = -e * math.prod(a for a, _ in sf.legs)
     orbit_order = -e * alpha
-    assert order_h.denominator == 1 and orbit_order.denominator == 1
+    if order_h.denominator != 1 or orbit_order.denominator != 1:
+        raise VerificationError(f"|H| = {order_h} and the orbit order {orbit_order} must be integers")
     gamma = (sf.d - 2 - sum(Fraction(1, a) for a, _ in sf.legs)) / (-e)
     omega_prime = tuple(pow(w, -1, a) for a, w in sf.legs)
     return SeifertInvariants(
@@ -142,6 +144,28 @@ def shared_factor_pair(nums) -> tuple[int, int] | None:
     return next(((a, b) for a, b in itertools.combinations(nums, 2) if math.gcd(a, b) != 1), None)
 
 
+def from_congruence(slots, orbit_order: int) -> SeifertData:
+    """Normalized Seifert data with omega_i * q_i = -1 (mod alpha_i) and orbit order o.
+
+    ``slots`` lists triples (alpha_i, q_i, s_i): s_i legs (alpha_i, omega_i)
+    with omega_i = -q_i^(-1) mod alpha_i, where the cofactor q_i must be a
+    unit mod alpha_i; slots with alpha_i = 1 give no leg.  With
+    alpha = lcm(alpha_i), o = alpha*(b0 - sum over legs omega_i/alpha_i)
+    pins b0 = (o + sum over legs omega_i*alpha/alpha_i)/alpha.
+    """
+    legs = tuple(leg for a, q, s in slots if a > 1 for leg in [(a, -pow(q, -1, a) % a)] * s)
+    if len(legs) < 3:
+        raise ValueError("degenerate input: fewer than 3 legs after dropping trivial slots")
+    alpha = math.lcm(*(a for a, _ in legs))
+    num = orbit_order + sum(w * (alpha // a) for a, w in legs)
+    if num % alpha:
+        raise VerificationError(f"no integer b0 gives orbit order {orbit_order} for the legs {legs}")
+    sf = SeifertData(num // alpha, legs)
+    if -sf.e * alpha != orbit_order:
+        raise VerificationError(f"orbit order {-sf.e * alpha} != {orbit_order} for {sf}")
+    return sf
+
+
 def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
     """The unique Seifert data of the integral homology sphere with given alphas.
 
@@ -158,12 +182,7 @@ def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
     if pair:
         raise ValueError(f"alphas must be pairwise coprime, got {pair[0]}, {pair[1]}")
     alpha = math.prod(alphas)
-    omegas = [(-pow(alpha // a, -1, a)) % a for a in alphas]
-    b0_frac = Fraction(1, alpha) + sum(Fraction(w, a) for a, w in zip(alphas, omegas))
-    assert b0_frac.denominator == 1
-    sf = SeifertData(int(b0_frac), tuple(zip(alphas, omegas)))
-    assert (-sf.e) * alpha == 1
-    return sf
+    return from_congruence(((a, alpha // a, 1) for a in alphas), 1)
 
 
 def is_numerically_gorenstein(sf: SeifertData) -> bool:

@@ -268,7 +268,8 @@ def frobenius_of_generators(gens: Sequence[int]) -> int:
     bound = (len(gens) - 1) * math.lcm(*gens) - sum(gens)
     hi = max(bound, 0) + gens[0]
     table = monoid_sieve(gens, hi)
-    assert all(table[i] for i in range(hi - gens[0] + 1, hi + 1))
+    if not all(table[i] for i in range(hi - gens[0] + 1, hi + 1)):
+        raise VerificationError(f"the monoid of {gens} has a gap above its Frobenius bound {bound}")
     return max((i for i in range(hi + 1) if not table[i]), default=-1)
 
 
@@ -413,8 +414,8 @@ def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
         link.module_least(r) == minm + apery[(r - minm) % alpha] for r in range(alpha)
     )
     symmetric = not witnesses
-    if link.gorenstein:
-        assert symmetric == module_principal, "Gorenstein symmetry/principality must agree"
+    if link.gorenstein and symmetric != module_principal:
+        raise VerificationError("Gorenstein symmetry/principality must agree")
     return SymmetryReport(symmetric=symmetric, witnesses=witnesses, module_principal=module_principal)
 
 
@@ -438,7 +439,8 @@ def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryRep
     if not link.gorenstein:
         raise ValueError("input is not numerically Gorenstein")
     inv = link.inv
-    assert inv.gamma.denominator == 1
+    if inv.gamma.denominator != 1:
+        raise VerificationError(f"gamma = {inv.gamma} must be an integer for numerically Gorenstein data")
     gamma, alpha, n, apery = int(inv.gamma), inv.alpha, link.n, link.ap.apery
     checks = [("N(ell) + N(gamma - ell) = -2", lambda r: n(r) + n(gamma - r) == -2)]
     if inv.orbit_order == 1:

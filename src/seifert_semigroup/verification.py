@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laufer, semigroup
+from .errors import VerificationError
 from .lattice import (
     build_graph,
     canonical_cycle,
@@ -104,6 +105,13 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     def check(name, condition, detail=""):
         results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
+    def route(name, fn, *args):
+        """fn(*args); a VerificationError inside it fails check ``name`` and gives None."""
+        try:
+            return fn(*args)
+        except VerificationError as ex:
+            check(name, False, str(ex))
+
     order = group_order(g)
     check("smith_order", order == inv.order_h, f"SNF order {order} != alpha_1..alpha_d*|e| = {inv.order_h}")
     check("gamma_is_central_zk_coefficient", zk[0] == inv.gamma + 1, f"m0(Z_K) = {zk[0]}")
@@ -169,14 +177,15 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     link = Link(sf)
     ap = link.ap
     if not sf.trivial:
-        f_formula = frobenius_by_formula(sf, g)
+        f_formula = route("semigroup_frobenius_agreement", frobenius_by_formula, sf, g)
         f_brute = frobenius_bruteforce(sf)
-        check("semigroup_frobenius_agreement", f_formula == f_brute,
-              f"formula {f_formula} != brute {f_brute}")
+        if f_formula is not None:
+            check("semigroup_frobenius_agreement", f_formula == f_brute,
+                  f"formula {f_formula} != brute {f_brute}")
         check("selmer_agreement", ap.frobenius == f_brute, f"Selmer {ap.frobenius} != {f_brute}")
         check("gap_count_agreement", ap.gaps == gap_count_direct(sf),
               f"gap formula {ap.gaps} != direct count")
-        symmetry_report(link)  # internally cross-asserts symmetry vs principality
+        route("symmetry_principality", symmetry_report, link)  # cross-checks symmetry vs principality
         if link.gorenstein:
             check("gorenstein_min_plus_frobenius",
                   link.module_min + f_brute == inv.gamma,
@@ -188,24 +197,27 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
               "b0 >= d must give the full semigroup")
     del link, ap  # free the table before the augmentation checks, which need memory of their own
     if not is_rational_link(sf):
-        fm_formula = laufer.frobenius_module(g)
+        fm_formula = route("module_frobenius_agreement", laufer.frobenius_module, g)
         fm_brute = frobenius_bruteforce(sf, "module")
-        check("module_frobenius_agreement", fm_formula == fm_brute,
-              f"module formula {fm_formula} != brute {fm_brute}")
+        if fm_formula is not None:
+            check("module_frobenius_agreement", fm_formula == fm_brute,
+                  f"module formula {fm_formula} != brute {fm_brute}")
 
     # ladder duality, when the ladder is short enough to walk
     big_delta = zk[0] - r_of_class(class_rep(zk))[0]
     if big_delta <= 400:
-        rep = laufer.dual_check(g)
-        check("ladder_duality", rep.passed, "; ".join(rep.failures))
+        rep = route("ladder_duality", laufer.dual_check, g)
+        if rep is not None:
+            check("ladder_duality", rep.passed, "; ".join(rep.failures))
 
     # module/semigroup comparison through the augmentation
     if inv.alpha + inv.gamma <= 3000:
         from .augment import verify_prop_comp  # local import to avoid a cycle
 
         bound = floor_frac(inv.alpha + inv.gamma) + 10
-        prop = verify_prop_comp(sf, bound, g=g)
-        check("augmented_module_stabilises", prop.passed, prop.detail)
+        prop = route("augmented_module_stabilises", verify_prop_comp, sf, bound, None, g)
+        if prop is not None:
+            check("augmented_module_stabilises", prop.passed, prop.detail)
 
     return results
 

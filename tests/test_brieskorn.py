@@ -1,9 +1,18 @@
+import itertools
 import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from seifert_semigroup import (
+    Link,
+    SeifertData,
     SemigroupView,
+    VerificationError,
     bh_generators,
     bh_seifert,
     classify,
@@ -13,7 +22,9 @@ from seifert_semigroup import (
     monoid_sieve,
     strongly_flat_check,
 )
-from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS
+from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, _slot_exponents, check_generators
+from seifert_semigroup.cli import full_report
+from seifert_semigroup.seifert import QuasilinearTable
 from seifert_semigroup.semigroup import minimal_generators_of_monoid
 
 
@@ -95,3 +106,144 @@ def test_case_i_with_m_one_is_strongly_flat():
     gens = bh_generators(cls)
     assert gens == ihs_generators([3, 5, 11])
     assert strongly_flat_check(gens).is_strongly_flat
+
+
+# The unit-tuple search that bh_seifert ran before the closed form, kept
+# verbatim as an oracle: it tries every normalized (omega_i, b0) with orbit
+# order two and keeps the first whose semigroup reproduces the generators.
+
+
+def _leg_list(cls, omegas):
+    legs = []
+    for alpha, s, w in zip(cls.alphas, cls.multiplicities, omegas):
+        if alpha == 1:
+            continue
+        legs.extend([(alpha, w)] * s)
+    return tuple(legs)
+
+
+def search_bh_seifert(cls):
+    if cls.case == NOT_QHS:
+        raise ValueError("not a rational homology sphere")
+    big_lcm = math.lcm(*cls.exponents)
+    alpha = math.prod(cls.alphas)  # pairwise coprime slots, = lcm of the legs
+
+    if cls.case == CASE_I:
+        omegas = [
+            pow(big_lcm // a_i, -1, alpha_i) * (alpha_i - 1) % alpha_i if alpha_i > 1 else 0
+            for a_i, alpha_i in zip(_slot_exponents(cls), cls.alphas)
+        ]
+        legs = _leg_list(cls, omegas)
+        if len(legs) < 3:
+            raise ValueError("degenerate input: fewer than 3 legs after dropping trivial slots")
+        target = 1
+    else:
+        best = None
+        gens = bh_generators(cls)
+        unit_ranges = [
+            [w for w in range(1, a) if math.gcd(w, a) == 1] if a > 1 else [0]
+            for a in cls.alphas
+        ]
+        for omegas in itertools.product(*unit_ranges):
+            legs = _leg_list(cls, omegas)
+            if len(legs) < 3:
+                raise ValueError("degenerate input: fewer than 3 legs after dropping trivial slots")
+            num = 2 + sum(w * (alpha // a) for a, w in legs)
+            if num % alpha:
+                continue
+            cand = Link(SeifertData(num // alpha, legs))
+            if _matches_generators(cand, gens):
+                best = cand.sf
+                break
+        if best is None:
+            raise ArithmeticError(
+                f"no normalized Seifert data with orbit order 2 matches the generators {gens} "
+                f"for exponents {cls.exponents}"
+            )
+        return best
+
+    num = target + sum(w * (alpha // a) for a, w in legs)
+    assert num % alpha == 0, "orbit-order constraint must have an integer solution"
+    sf = SeifertData(num // alpha, legs)
+    assert invariants(sf).orbit_order == target
+    return sf
+
+
+def _matches_generators(link, gens):
+    """Membership of the monoid of ``gens`` equals that of S on [0, f + 2*alpha]."""
+    hi = max(link.ap.frobenius, 0) + 2 * link.inv.alpha
+    table = monoid_sieve(gens, hi)
+    return all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
+
+
+def case_ii_sweep(count, seed):
+    """Seeded shuffled case-(ii) exponent tuples (2^c*p_1, 2*p_2, 2*p_3, p_4, ...):
+    c = 1..3, odd pairwise coprime cores from {1, 3, 5, 7, 11, 13}, and up to
+    one extra odd exponent from {9, 17}; tuples with fewer than 3 legs are skipped."""
+    rng = random.Random(seed)
+    seen = set()
+    while len(seen) < count:
+        cores = [rng.choice((1, 3, 5, 7, 11, 13)) for _ in range(3)] + rng.choice(([], [9], [17]))
+        if any(math.gcd(x, y) != 1 for x, y in itertools.combinations(cores, 2)):
+            continue
+        c = rng.randint(1, 3)
+        exponents = [2**c * cores[0], 2 * cores[1], 2 * cores[2]] + cores[3:]
+        rng.shuffle(exponents)
+        cls = classify(exponents)
+        assert cls.case == CASE_II
+        if sum(s for a, s in zip(cls.alphas, cls.multiplicities) if a > 1) >= 3:
+            seen.add(tuple(exponents))
+    return sorted(seen)
+
+
+def test_closed_form_equals_the_search_on_case_ii():
+    sweep = case_ii_sweep(300, seed=6)
+    for exponents in sweep:
+        cls = classify(exponents)
+        assert bh_seifert(cls) == search_bh_seifert(cls), exponents
+
+
+@pytest.mark.parametrize("exponents", [(2, 3, 7), (6, 10, 7), (3, 5, 11), (6, 10, 14), (12, 10, 14, 11)])
+def test_closed_form_equals_the_oracle(exponents):
+    cls = classify(exponents)
+    assert bh_seifert(cls) == search_bh_seifert(cls)
+
+
+def test_degenerate_case_ii_is_an_input_error():
+    for bh in (bh_seifert, search_bh_seifert):
+        with pytest.raises(ValueError, match="fewer than 3 legs"):
+            bh(classify((2, 2, 2)))
+
+
+def test_check_generators_rejects_a_wrong_list():
+    cls = classify((6, 10, 14))
+    link = Link(bh_seifert(cls))
+    check_generators(link, bh_generators(cls))
+    with pytest.raises(VerificationError, match="disagree"):
+        check_generators(link, [15, 21, 37])
+
+
+def test_full_report_builds_one_table(monkeypatch):
+    built = []
+    init = QuasilinearTable.__init__
+
+    def counting_init(self, sf):
+        built.append(sf)
+        init(self, sf)
+
+    monkeypatch.setattr(QuasilinearTable, "__init__", counting_init)
+    report = full_report({"bh": [6, 10, 14]})
+    assert report["bh"]["generators"] == [15, 21, 35]
+    assert len(built) == 1
+
+
+def test_large_case_ii_answers():
+    """Five exponents with prod phi(alpha_i) ~ 6.6e7 unit tuples: the closed
+    form answers without a search or a table of N."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", "bh", '{"bh":[62,74,82,43,47]}'],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert '"case": "case_ii"' in result.stdout

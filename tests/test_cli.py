@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from seifert_semigroup import VerificationError, laufer, verification
 from seifert_semigroup.cli import main
 
 SEC5 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1]]}}'
@@ -106,6 +108,25 @@ def test_bh_command(capsys):
     assert json.loads(out)["case"] == "not_qhs"
 
 
+def test_laufer_reads_the_scalars_sequences(monkeypatch, capsys):
+    """Without --trace, `laufer --class zk` and `zk+e0` run only the two
+    sequences inside the scalars; --trace runs its own once more."""
+    calls = []
+    exact = laufer.to_antinef
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("trace", False))
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(laufer, "to_antinef", counting)
+    for argv, expected in (([], [False, False]), (["--class", "zk+e0"], [False, False]),
+                           (["--trace"], [False, False, True]), (["--class", "zero"], [False, False, False])):
+        calls.clear()
+        assert main(["laufer", SEC5, *argv]) == 0
+        assert sorted(calls) == expected, argv
+    capsys.readouterr()
+
+
 def test_bad_record_is_input_error(capsys):
     code = main(["info", '{"seifert":{"b0":1,"legs":[[5,1],[5,2]]}}'])
     assert code == 1
@@ -120,6 +141,48 @@ def test_verify_record(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "module, route, checks",
+    [
+        (verification, "frobenius_by_formula", ["semigroup_frobenius_agreement"]),
+        # the augmentation check reads the module Frobenius number of the augmented graph
+        (laufer, "frobenius_module", ["module_frobenius_agreement", "augmented_module_stabilises"]),
+        (verification, "symmetry_report", ["symmetry_principality"]),
+    ],
+    ids=["formula", "module", "symmetry"],
+)
+def test_verify_goes_on_after_a_route_raises(module, route, checks, monkeypatch, capsys):
+    """A VerificationError inside a route fails the check it feeds; the
+    remaining checks still run and the exit code is 2."""
+    def broken(*args, **kwargs):
+        raise VerificationError("skewed route")
+
+    monkeypatch.setattr(module, route, broken)
+    code, out = run_cli(capsys, "verify", SEC5)
+    assert code == 2
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL")]
+    assert fails == [f"FAIL {c}  (skewed route)" for c in checks]
+    first = lines.index(f"FAIL {checks[0]}  (skewed route)")
+    assert any(line.startswith("ok  ") for line in lines[first + 1:-1])  # later checks still run
+    assert lines[-1] == f"{len(lines) - 1 - len(checks)}/{len(lines) - 1} checks passed"
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--random", "1", "--max-alpha", "1"], "--max-alpha"),
+        (["--random", "1", "--max-legs", "2"], "--max-legs"),
+        (["--random", "-1"], "--random"),
+    ],
+)
+def test_verify_option_errors_name_the_option(argv, option, capsys):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option} must be at least ") and captured.err.count("\n") == 1
 
 
 def test_batch_jsonl_and_csv(tmp_path, capsys):
@@ -213,6 +276,18 @@ def test_checks_survive_optimize_flag():
     )
     result = _python("-O", "-c", indefinite)
     assert result.returncode == 0 and result.stdout == "refused\n", result.stderr
+
+
+def test_no_bare_asserts_in_the_package():
+    """Cross-checks raise VerificationError, so they still run under python -O."""
+    package = Path(__file__).parents[1] / "src" / "seifert_semigroup"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

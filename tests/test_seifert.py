@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from seifert_semigroup import (
     SeifertData,
+    VerificationError,
     build_graph,
     canonical_cycle,
     chi,
@@ -19,7 +20,7 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
-from seifert_semigroup.seifert import from_graph, geometric_genus
+from seifert_semigroup.seifert import from_congruence, from_graph, geometric_genus
 from seifert_semigroup.verification import random_seifert
 
 from conftest import seeded_rng
@@ -158,6 +159,19 @@ def test_ihs_from_alphas_properties():
             assert is_antinef(g, canonical_cycle(g))
     with pytest.raises(ValueError):
         ihs_from_alphas((2, 4, 5))
+
+
+def test_from_congruence():
+    slots = ((2, 15, 1), (3, 10, 1), (5, 6, 1))  # the homology sphere (2, 3, 5)
+    assert from_congruence(slots, 1) == ihs_from_alphas((2, 3, 5))
+    # the leg residues sum to 59/30, so orbit order 2 needs 61/30 to be an integer
+    with pytest.raises(VerificationError, match="orbit order 2"):
+        from_congruence(slots, 2)
+    # slots with alpha_i = 1 give no leg
+    legs = ((3, 2), (3, 2), (5, 4), (5, 4))
+    assert from_congruence(((1, 1, 4), (3, 1, 2), (5, 1, 2)), 1) == SeifertData(3, legs)
+    with pytest.raises(ValueError, match="fewer than 3 legs"):
+        from_congruence(((1, 1, 4), (3, 1, 1), (5, 1, 1)), 1)
 
 
 def test_tau_sequence(sf_237):
