@@ -20,9 +20,11 @@ of the base.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
 
 from . import laufer
 from .errors import RationalLinkError
@@ -32,11 +34,10 @@ from .lattice import (
     build_graph,
     canonical_cycle,
     dual_basis,
-    dual_cycle,
     pairing_with_vertex,
     unit_cycle,
 )
-from .seifert import SeifertData, ceil_div, ceil_frac, invariants, quasilinear
+from .seifert import SeifertData, ceil_frac, invariants, quasilinear_values
 from .semigroup import frobenius_bruteforce
 
 
@@ -117,7 +118,7 @@ def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
     g = pair.base_graph
     gn = pair.augmented_graph
     lhs = canonical_cycle(gn)
-    rhs = pair.include(canonical_cycle(g)) + c * (pair.e_plus() + pair.include(dual_cycle(g, 0)))
+    rhs = pair.include(canonical_cycle(g)) + c * (pair.e_plus() + pair.include(g.e0_star))
     if lhs != rhs:
         failures.append("canonical-cycle identity fails")
     gamma_n = invariants(pair.augmented).gamma
@@ -132,11 +133,10 @@ def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
 
 def quasilinear_shift_holds(pair: AugmentedPair, lo: int, hi: int) -> bool:
     """The exact shift N(ell) = N_(n)(ell) + ceil(ell/n) on [lo, hi]."""
-    sf, aug, n = pair.base, pair.augmented, pair.n
-    return all(
-        quasilinear(sf, ell) == quasilinear(aug, ell) + ceil_div(ell, n)
-        for ell in range(lo, hi + 1)
-    )
+    ells = range(lo, hi + 1)
+    neg_ceils = map(operator.floordiv, range(-lo, -hi - 1, -1), repeat(pair.n))  # -ceil(ell/n)
+    shifted = map(operator.sub, quasilinear_values(pair.augmented, ells), neg_ceils)
+    return all(map(operator.eq, quasilinear_values(pair.base, ells), shifted))
 
 
 @dataclass(frozen=True)
@@ -182,12 +182,12 @@ def verify_prop_comp(
 
 def _prop_comp_once(pair: AugmentedPair, bound: int, f_base: int | None) -> tuple[bool, str]:
     """Membership on [0, bound]; then, for a non-trivial base, f_M(augmented) = ``f_base``."""
-    sf, aug = pair.base, pair.augmented
-    for ell in range(0, bound + 1):
-        in_semigroup = quasilinear(sf, ell) >= 0
-        in_module = quasilinear(aug, ell) >= -1
-        if in_semigroup != in_module:
-            return False, f"membership differs at ell = {ell} (n = {pair.n})"
+    ells = range(bound + 1)
+    in_semigroup = map((0).__le__, quasilinear_values(pair.base, ells))
+    in_module = map((-1).__le__, quasilinear_values(pair.augmented, ells))
+    ell = next(compress(ells, map(operator.ne, in_semigroup, in_module)), None)
+    if ell is not None:
+        return False, f"membership differs at ell = {ell} (n = {pair.n})"
     if f_base is not None:
         try:
             f_module = laufer.frobenius_module(pair.augmented_graph)

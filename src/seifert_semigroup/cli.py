@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
-from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, dual_cycle, r_of_class, zero_cycle
+from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, r_of_class, zero_cycle
 from .seifert import (
     SeifertData,
     SeifertInvariants,
@@ -250,7 +250,7 @@ def cmd_laufer(args) -> int:
     if args.class_rep == "zk":
         start_class = class_rep(zk)
     elif args.class_rep == "zk+e0":
-        start_class = class_rep(zk + dual_cycle(g, 0))
+        start_class = class_rep(zk + g.e0_star)
     else:
         start_class = class_rep(zero_cycle(g.n))
     r = r_of_class(start_class)

@@ -24,6 +24,8 @@ input order, each leg from the centre outward.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,8 +73,8 @@ class StarGraph:
     the vertex ids of each leg, ordered from the centre outward.  The centre
     is always vertex 0.  A graph with e >= 0 can be built, but solving on it
     raises ArithmeticError.  What the graph alone determines (adjacency,
-    elimination pivots, Z_K, the Laufer scalars) is computed on first use and
-    kept on the graph.
+    elimination pivots, Z_K, E_0^*, the Laufer scalars) is computed on first
+    use and kept on the graph.
     """
 
     euler: tuple[int, ...]
@@ -130,6 +132,11 @@ class StarGraph:
     @cached_property
     def zk(self) -> RationalCycle:
         return _solve(self, [e + 2 for e in self.euler])
+
+    @cached_property
+    def e0_star(self) -> RationalCycle:
+        """E_0^*, the dual cycle of the centre (see :func:`dual_cycle`)."""
+        return dual_cycle(self, 0)
 
     @cached_property
     def scalars(self) -> LauferScalars:
@@ -248,6 +255,22 @@ def pairing_with_vertex(g: StarGraph, l: RationalCycle, v: int) -> Fraction:
     return s
 
 
+def numerators(l: RationalCycle, scale: int) -> list[int]:
+    """scale*l as integers; ``scale`` must be a common multiple of the denominators."""
+    return [c.numerator * (scale // c.denominator) for c in l.coeffs]
+
+
+def scaled(l: RationalCycle) -> tuple[int, list[int]]:
+    """(L, L*l) with L the common denominator of the coefficients of l."""
+    scale = math.lcm(*(c.denominator for c in l.coeffs))
+    return scale, numerators(l, scale)
+
+
+def vertex_pairings(g: StarGraph, a: Sequence[int]) -> list[int]:
+    """(a, E_v) for every vertex v, for an integer vector a."""
+    return [e * a[v] + sum(a[u] for u in adj) for v, (e, adj) in enumerate(zip(g.euler, g.adjacency))]
+
+
 def pairing(g: StarGraph, a: RationalCycle, b: RationalCycle) -> Fraction:
     """The symmetric bilinear form (a, b) = a^T I b, exactly."""
     if len(a) != g.n or len(b) != g.n:
@@ -298,8 +321,18 @@ def canonical_cycle(g: StarGraph) -> RationalCycle:
 
 
 def chi(g: StarGraph, l: RationalCycle) -> Fraction:
-    """Riemann-Roch function chi(l) = (Z_K - l, l)/2."""
-    return pairing(g, canonical_cycle(g) - l, l) / 2
+    """Riemann-Roch function chi(l) = (Z_K - l, l)/2.
+
+    Computed on integer numerators: with D the common denominator of Z_K
+    and l, chi(l) = (D*Z_K - D*l, D*l) / (2*D^2).
+    """
+    if len(l) != g.n:
+        raise ValueError("cycle length does not match graph")
+    zk = canonical_cycle(g)
+    scale = math.lcm(*(c.denominator for c in zk.coeffs), *(c.denominator for c in l.coeffs))
+    a = numerators(l, scale)
+    b = list(map(operator.sub, numerators(zk, scale), a))
+    return Fraction(sum(map(operator.mul, vertex_pairings(g, b), a)), 2 * scale * scale)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,10 @@ Two flavours are used:
 * the full sequence, which lands in the Lipman cone and computes the minimal
   anti-nef representative s_h of a class h when started from r_h;
 * the sequence restricted to the non-central vertices, which produces the
-  ladder x^0, x^1, ... of minimal cycles with prescribed central coefficient
-  (each rung obtained from the previous one by adding E_0 and re-running the
-  restricted sequence).
+  ladder x^0, x^1, ... of minimal cycles with prescribed central coefficient.
+  The ladder is one continued sequence: rung l+1 adds E_0 to the integer
+  state of rung l and runs the same restricted loop on, so no rung restarts
+  from a rational cycle (:func:`ladder`).
 
 From these one reads off the scalars delta, Delta, s and s-check, the dual
 weight sequence, and the Frobenius number of the module of the link.
@@ -38,18 +39,23 @@ O(deg v) instead of rescanned.  Since the worklist is exactly the sorted list
 of positive allowed vertices that a rescan would build, "min", "max" and
 "random" pick the same vertex (and draw the same random numbers) as a
 rescanning loop would, so traces and their chi values do not depend on this
-bookkeeping.  Only traced runs touch fractions inside the loop, for chi.
+bookkeeping.
+
+chi is carried along as the integer 2L*(chi(start + x) - chi(start)), through
+chi(l + k*E_v) = chi(l) + k*(e_v + 2 - k*e_v)/2 - k*(l, E_v).  Only traced
+steps and ladder rungs turn it into a fraction.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import RationalLinkError, VerificationError
 from .lattice import (
@@ -59,14 +65,12 @@ from .lattice import (
     canonical_cycle,
     chi,
     class_rep,
-    dual_cycle,
-    is_antinef,
-    pairing_with_vertex,
     r_of_class,
-    unit_cycle,
+    scaled,
+    vertex_pairings,
     zero_cycle,
 )
-from .seifert import from_graph, is_rational_link, quasilinear
+from .seifert import from_graph, is_rational_link, quasilinear_values
 
 DEFAULT_STEP_BUDGET = 10**7
 
@@ -99,6 +103,89 @@ class XSeries:
     n_values: tuple[Fraction, ...]
 
 
+class _Sequence:
+    """Integer state of a computation sequence from ``start`` on the allowed vertices.
+
+    Holds L, t, the thresholds, q, x and the sorted worklist described in the
+    module docstring, plus chi2 = 2L*(chi(start + x) - chi(start)), kept up to
+    date through chi(l + kE_v) = chi(l) + k(e_v + 2 - k*e_v)/2 - k*(l, E_v).
+    """
+
+    def __init__(self, g: StarGraph, start: RationalCycle, allowed: Iterable[int]):
+        self.g, self.euler, self.adjacency = g, g.euler, g.adjacency
+        self.start = start
+        self.scale, a = scaled(start)
+        self.t = vertex_pairings(g, a)
+        self.thr = [-tv // self.scale + 1 for tv in self.t]
+        self.step = [self.scale * -e for e in self.euler]
+        self.is_allowed = [False] * g.n
+        for v in allowed:
+            self.is_allowed[v] = True
+        self.q = [0] * g.n
+        self.x = [0] * g.n
+        self.positive = [v for v in range(g.n) if self.is_allowed[v] and self.thr[v] <= 0]
+        self.chi2 = 0
+
+    @cached_property
+    def chi_start(self) -> Fraction:
+        return chi(self.g, self.start)
+
+    def chi(self) -> Fraction:
+        """chi(start + x)."""
+        return self.chi_start + Fraction(self.chi2, 2 * self.scale)
+
+    def pairing(self, v: int) -> Fraction:
+        """(start + x, E_v)."""
+        return Fraction(self.t[v] + self.scale * self.q[v], self.scale)
+
+    def add(self, v: int, k: int) -> None:
+        """Add k*E_v, keeping q, chi2 and the worklist of positive allowed vertices."""
+        q, thr, is_allowed, e = self.q, self.thr, self.is_allowed, self.euler[v]
+        self.chi2 += k * (self.scale * (e + 2 - k * e) - 2 * (self.t[v] + self.scale * q[v]))
+        self.x[v] += k
+        if is_allowed[v] and q[v] + k * e < thr[v] <= q[v]:
+            del self.positive[bisect_left(self.positive, v)]
+        q[v] += k * e
+        for u in self.adjacency[v]:
+            if is_allowed[u] and q[u] < thr[u] <= q[u] + k:
+                insort(self.positive, u)
+            q[u] += k
+
+    def run(self, budget: int, strategy: str = "min", rng: random.Random | None = None,
+            trace: bool = False) -> list[tuple[int, Fraction]]:
+        """Add base elements of positive pairing until none is left among the
+        allowed vertices.  Returns the (vertex, chi) steps when ``trace`` is set,
+        which adds one E_v per step; otherwise steps are bulk and not listed."""
+        positive, t, q, step, scale = self.positive, self.t, self.q, self.step, self.scale
+        steps: list[tuple[int, Fraction]] = []
+        added = 0
+        while positive:
+            if strategy == "min":
+                v = positive[0]
+            elif strategy == "max":
+                v = positive[-1]
+            else:
+                v = rng.choice(positive)
+            # adding k*E_v is k valid single steps as long as the pairing stays
+            # positive, i.e. for k = ceil(p_v / -euler_v) = ceil(L * p_v / step_v)
+            k = 1 if trace else -((-t[v] - scale * q[v]) // step[v])
+            added += k
+            if added > budget:
+                raise RuntimeError(
+                    f"computation sequence exceeded the step budget ({budget}); "
+                    "this indicates a bug or a non-negative-definite graph"
+                )
+            self.add(v, k)
+            if trace:
+                steps.append((v, self.chi()))
+        return steps
+
+
+def _shift(start: RationalCycle, x: Iterable[int]) -> RationalCycle:
+    """start + x for an integer vector x."""
+    return RationalCycle(tuple(c + dx if dx else c for c, dx in zip(start.coeffs, x)))
+
+
 def to_antinef(
     g: StarGraph,
     start: RationalCycle,
@@ -121,83 +208,59 @@ def to_antinef(
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
-    allowed = range(g.n) if vertices is None else sorted(set(vertices))
-    is_allowed = [False] * g.n
-    for v in allowed:
-        is_allowed[v] = True
-    euler = g.euler
-    # with L the common denominator of ``start``, L * p_v = t_v + L * q_v, where
-    # t_v = (L * start, E_v) is an integer and q_v = (x, E_v) for the integer
-    # vector x added so far; so p_v > 0 iff q_v >= thr_v = floor(-t_v / L) + 1
-    scale = math.lcm(*(c.denominator for c in start.coeffs))
-    a = [c.numerator * (scale // c.denominator) for c in start.coeffs]
-    t = [e * a[v] + sum(a[u] for u in adj) for v, (e, adj) in enumerate(zip(euler, g.adjacency))]
-    thr = [-tv // scale + 1 for tv in t]
-    step = [scale * -e for e in euler]
-    nbrs = [tuple(u for u in adj if is_allowed[u]) for adj in g.adjacency]
-    budget = _step_budget(step_budget)
-    q = [0] * g.n
-    x = [0] * g.n
-    positive = [v for v in allowed if thr[v] <= 0]  # sorted, as ``allowed`` is
-    steps: list[tuple[int, Fraction]] = []
-    chi_running = chi(g, start) if trace else None
-    added = 0
-    while positive:
-        if strategy == "min":
-            v = positive[0]
-        elif strategy == "max":
-            v = positive[-1]
-        else:
-            v = rng.choice(positive)
-        # adding k*E_v is k valid single steps as long as the pairing stays
-        # positive, i.e. for k = ceil(p_v / -euler_v) = ceil(L * p_v / step_v)
-        k = 1 if trace else -((-t[v] - scale * q[v]) // step[v])
-        added += k
-        if added > budget:
-            raise RuntimeError(
-                f"computation sequence exceeded the step budget ({budget}); "
-                "this indicates a bug or a non-negative-definite graph"
-            )
-        x[v] += k
-        if trace:
-            chi_running = chi_running + 1 - (Fraction(t[v], scale) + q[v])
-            steps.append((v, chi_running))
-        q[v] += k * euler[v]
-        if q[v] < thr[v]:
-            del positive[bisect_left(positive, v)]
-        for u in nbrs[v]:
-            if q[u] < thr[u] <= q[u] + k:
-                insort(positive, u)
-            q[u] += k
-    result = RationalCycle(tuple(c + dx if dx else c for c, dx in zip(start.coeffs, x)))
+    seq = _Sequence(g, start, range(g.n) if vertices is None else vertices)
+    steps = seq.run(_step_budget(step_budget), strategy, rng, trace)
+    result = _shift(start, seq.x)
     if trace:
         return result, LauferTrace(start=start, steps=tuple(steps), result=result)
     return result, None
 
 
-def x_series(g: StarGraph, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
-    """The cycles x^0, ..., x^{up_to} of the class, via restricted sequences.
+class Rung(NamedTuple):
+    """The rung x^l = r_h + x of a ladder, with what the walker reads off it."""
 
-    x^0 is the endpoint of the restricted sequence from r_h; each x^{l+1} is
-    the endpoint of the restricted sequence from x^l + E_0.  x^l is the
-    minimal cycle of the class with central coefficient m_0(r_h) + l that is
-    anti-nef on the non-central vertices.
+    start: RationalCycle  # r_h
+    x: tuple[int, ...]
+    n_value: Fraction  # -(x^l, E_0)
+    chi: Fraction  # chi(x^l)
+    antinef: bool  # (x^l, E_0) <= 0: x^l is anti-nef on every vertex
+
+    @property
+    def cycle(self) -> RationalCycle:
+        return _shift(self.start, self.x)
+
+
+def ladder(g: StarGraph, rep: ClassRep, *, step_budget: int | None = None) -> Iterator[Rung]:
+    """The rungs x^0, x^1, ... of the class, walked as one continued sequence.
+
+    x^0 is the endpoint of the restricted sequence from r_h; x^{l+1} adds E_0
+    to the state of x^l and continues the same restricted sequence.  The step
+    budget applies to each rung.
+    """
+    start = r_of_class(rep)
+    seq = _Sequence(g, start, range(1, g.n))
+    budget = _step_budget(step_budget)
+    for ell in itertools.count():
+        if ell:
+            seq.add(0, 1)
+        seq.run(budget)
+        if seq.x[0] != ell:
+            raise VerificationError(
+                f"central coefficient of x^{ell} is {start[0] + seq.x[0]}, not {start[0] + ell}"
+            )
+        yield Rung(start, tuple(seq.x), -seq.pairing(0), seq.chi(), seq.q[0] < seq.thr[0])
+
+
+def x_series(g: StarGraph, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
+    """The cycles x^0, ..., x^{up_to} of the class, read off :func:`ladder`.
+
+    x^l is the minimal cycle of the class with central coefficient
+    m_0(r_h) + l that is anti-nef on the non-central vertices.
     """
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    restricted = range(1, g.n)
-    e0 = unit_cycle(g.n, 0)
-    current, _ = to_antinef(g, r_of_class(rep), vertices=restricted, step_budget=step_budget)
-    cycles = [current]
-    for _ in range(up_to):
-        current, _ = to_antinef(g, current + e0, vertices=restricted, step_budget=step_budget)
-        cycles.append(current)
-    r0 = rep.fractional[0]
-    for ell, x in enumerate(cycles):
-        if x[0] != r0 + ell:
-            raise VerificationError(f"central coefficient of x^{ell} is {x[0]}, not {r0 + ell}")
-    n_values = tuple(-pairing_with_vertex(g, x, 0) for x in cycles)
-    return XSeries(rep=rep, cycles=tuple(cycles), n_values=n_values)
+    rungs = list(itertools.islice(ladder(g, rep, step_budget=step_budget), up_to + 1))
+    return XSeries(rep=rep, cycles=tuple(r.cycle for r in rungs), n_values=tuple(r.n_value for r in rungs))
 
 
 @dataclass(frozen=True)
@@ -228,7 +291,7 @@ def scalars(g: StarGraph) -> LauferScalars:
         raise VerificationError(f"delta = {delta} and Delta = {big_delta} must be integers")
     if not zk >= s_cycle:
         raise VerificationError("Z_K does not dominate s_[Z_K]")
-    r2 = r_of_class(class_rep(zk + dual_cycle(g, 0)))
+    r2 = r_of_class(class_rep(zk + g.e0_star))
     s_check_cycle, _ = to_antinef(g, r2)
     return LauferScalars(
         delta=int(delta),
@@ -279,33 +342,36 @@ def dual_check(g: StarGraph, *, step_budget: int | None = None) -> DualityReport
     0 <= l <= Delta - 1: N(l) + N*(Delta - 1 - l) = -2 with
     N*(l) = -(x*(l), E_0).  Also confirms that the first anti-nef rung of the
     x*-ladder is delta = m_0(s_[Z_K] - r_[Z_K]), that x*(delta) = s_[Z_K],
-    and the sign pattern of (x*(l), E_0) across the ladder.
+    and the sign pattern of (x*(l), E_0) across the ladder.  chi, N* and
+    anti-nefness are read off the ladder walker; only x*(delta) is built as
+    a cycle.
     """
     sf = from_graph(g)
     sc = g.scalars
     delta, big_delta = sc.delta, sc.big_delta
     failures = []
-    zk = canonical_cycle(g)
-    series0 = x_series(g, class_rep(zero_cycle(g.n)), big_delta, step_budget=step_budget)
-    series_k = x_series(g, class_rep(zk), big_delta, step_budget=step_budget)
-    antinef_indices = [ell for ell, x in enumerate(series_k.cycles) if is_antinef(g, x)]
+
+    def rungs(c):
+        return list(itertools.islice(ladder(g, class_rep(c), step_budget=step_budget), big_delta + 1))
+
+    zero, star = rungs(zero_cycle(g.n)), rungs(canonical_cycle(g))
+    antinef_indices = [ell for ell, rung in enumerate(star) if rung.antinef]
     if not antinef_indices or antinef_indices[0] != delta:
         failures.append(f"first anti-nef rung {antinef_indices[:1]} != delta={delta}")
-    if series_k.cycles[delta] != sc.s_cycle:
+    if star[delta].cycle != sc.s_cycle:
         failures.append("x*(delta) != s_[Z_K]")
     for ell in range(delta):
-        if not series_k.n_values[ell] < 0:
+        if not star[ell].n_value < 0:
             failures.append(f"(x*({ell}), E_0) not positive before delta")
             break
-    if not series_k.n_values[delta] >= 0:
+    if not star[delta].n_value >= 0:
         failures.append("(x*(delta), E_0) not <= 0")
     for ell in range(big_delta + 1):
-        if chi(g, series_k.cycles[ell]) != chi(g, series0.cycles[big_delta - ell]):
+        if star[ell].chi != zero[big_delta - ell].chi:
             failures.append(f"chi(x*({ell})) != chi(x({big_delta - ell}))")
             break
-    for ell in range(big_delta):
-        n_ell = quasilinear(sf, ell)
-        n_star = series_k.n_values[big_delta - 1 - ell]
+    for ell, n_ell in enumerate(quasilinear_values(sf, range(big_delta))):
+        n_star = star[big_delta - 1 - ell].n_value
         if n_ell + n_star != -2:
             failures.append(f"N({ell}) + N*({big_delta - 1 - ell}) = {n_ell + n_star} != -2")
             break

@@ -15,12 +15,21 @@ scalars: alpha = lcm(alpha_i), |H| = alpha_1...alpha_d*|e|, the orbit order
 o = alpha*|e|, and the exponent gamma = (d - 2 - sum_i 1/alpha_i)/|e|.
 
 All ceilings are exact integer ceil-divisions; no floating point.
+
+N is evaluated in two ways.  :func:`quasilinear` is the scalar definition,
+for sampled points.  :func:`quasilinear_values` is the window kernel: it
+yields N over a whole range of ell from C-level ``map``s over scaled ranges,
+since ceil(ell*omega/alpha) = -floor(-ell*omega/alpha) and ell -> -ell*omega
+maps a range onto a range.  It evaluates the defining formula at every
+point, with no quasi-periodicity shortcut, so the brute-force scans built on
+it stay independent of the period table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -111,6 +120,21 @@ def quasilinear(sf: SeifertData, ell: int) -> int:
     return sf.b0 * ell - sum(ceil_div(ell * w, a) for a, w in sf.legs)
 
 
+def quasilinear_values(sf: SeifertData, ells: range):
+    """N(ell) for every ell in ``ells``, in order, by the defining formula.
+
+    b0*ell and -ell*omega_i run through scaled ranges, and each
+    -ceil(ell*omega_i/alpha_i) is a floor division of the latter by alpha_i,
+    so every per-point operation runs in C.  Returns a lazy iterator.
+    """
+    start, stop, step = ells.start, ells.stop, ells.step
+    values = range(sf.b0 * start, sf.b0 * stop, sf.b0 * step)
+    for a, w in sf.legs:
+        floors = map(operator.floordiv, range(-w * start, -w * stop, -w * step), itertools.repeat(a))
+        values = map(operator.add, values, floors)
+    return values
+
+
 class QuasilinearTable:
     """O(1) evaluation of N via N(q*alpha + r) = N(r) + q*o.
 
@@ -122,7 +146,7 @@ class QuasilinearTable:
         self.inv = invariants(sf)
         self.alpha = self.inv.alpha
         self.orbit_order = self.inv.orbit_order
-        self.base = [quasilinear(sf, r) for r in range(self.alpha)]
+        self.base = list(quasilinear_values(sf, range(self.alpha)))
 
     def __call__(self, ell: int) -> int:
         q, r = divmod(ell, self.alpha)
@@ -133,10 +157,7 @@ def tau_sequence(sf: SeifertData, up_to: int) -> list[int]:
     """tau(0) = 0 and tau(ell+1) = tau(ell) + 1 + N(ell); values up to index up_to."""
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
-    taus = [0]
-    for ell in range(up_to):
-        taus.append(taus[-1] + 1 + quasilinear(sf, ell))
-    return taus
+    return list(itertools.accumulate(map((1).__add__, quasilinear_values(sf, range(up_to))), initial=0))
 
 
 def shared_factor_pair(nums) -> tuple[int, int] | None:
@@ -198,7 +219,8 @@ def geometric_genus(sf: SeifertData) -> int:
     gamma = invariants(sf).gamma
     if gamma < 0:
         return 0
-    return sum(max(0, -1 - quasilinear(sf, ell)) for ell in range(floor_frac(gamma) + 1))
+    deficits = map(operator.invert, quasilinear_values(sf, range(floor_frac(gamma) + 1)))  # -1 - N
+    return sum(map(max, itertools.repeat(0), deficits))
 
 
 def is_rational_link(sf: SeifertData) -> bool:

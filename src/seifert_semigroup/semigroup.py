@@ -22,10 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
-from .lattice import StarGraph, build_graph, canonical_cycle, dual_cycle
+from .lattice import StarGraph, build_graph, canonical_cycle
 from .seifert import (
     QuasilinearTable,
     SeifertData,
@@ -35,7 +36,7 @@ from .seifert import (
     invariants,
     is_numerically_gorenstein,
     is_rational_link,
-    quasilinear,
+    quasilinear_values,
     shared_factor_pair,
 )
 
@@ -142,17 +143,19 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     if kind == "semigroup":
         if sf.trivial:
             raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
-        for ell in range(floor_frac(inv.alpha + inv.gamma), 0, -1):
-            if quasilinear(sf, ell) < 0:
-                return ell
-        raise AssertionError("unreachable: N(1) = b0 - d < 0")
+        ells = range(floor_frac(inv.alpha + inv.gamma), 0, -1)
+        hit = next(compress(ells, map((0).__gt__, quasilinear_values(sf, ells))), None)
+        if hit is None:
+            raise AssertionError("unreachable: N(1) = b0 - d < 0")
+        return hit
     if kind == "module":
         if is_rational_link(sf):
             raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
-        for ell in range(floor_frac(inv.gamma), 0, -1):
-            if quasilinear(sf, ell) <= -2:
-                return ell
-        raise AssertionError("unreachable: a non-rational link has a gap in (0, gamma]")
+        ells = range(floor_frac(inv.gamma), 0, -1)
+        hit = next(compress(ells, map((-2).__ge__, quasilinear_values(sf, ells))), None)
+        if hit is None:
+            raise AssertionError("unreachable: a non-rational link has a gap in (0, gamma]")
+        return hit
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -185,7 +188,7 @@ def frobenius_by_formula(sf: SeifertData, g: StarGraph | None = None) -> int:
     if inv.orbit_order == 1 and f != inv.gamma + inv.alpha - sc.s:
         raise VerificationError(f"formula value {f} != gamma + alpha - s = {inv.gamma + inv.alpha - sc.s}")
     if canonical_cycle(g).is_integral():
-        gorenstein = inv.gamma + (dual_cycle(g, 0) - sc.s_check_cycle)[0]
+        gorenstein = inv.gamma + (g.e0_star - sc.s_check_cycle)[0]
         if f != gorenstein or f < inv.gamma:
             raise VerificationError(
                 f"formula value {f} != gamma + m_0(E_0^* - s_[E_0^*]) = {gorenstein}, or < gamma"
@@ -206,7 +209,7 @@ def apery_selmer(link: Link | SeifertData) -> AperyData:
 def gap_count_direct(sf: SeifertData) -> int:
     """Number of gaps by direct enumeration of non-members in (0, alpha + gamma]."""
     inv = invariants(sf)
-    return sum(1 for ell in range(1, floor_frac(inv.alpha + inv.gamma) + 1) if quasilinear(sf, ell) < 0)
+    return sum(map((0).__gt__, quasilinear_values(sf, range(1, floor_frac(inv.alpha + inv.gamma) + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +373,7 @@ def poincare(sf: SeifertData, up_to: int) -> PoincareData:
     inv = invariants(sf)
     if up_to < max(0, ceil_frac(inv.gamma)):
         raise ValueError("up_to must reach ceil(max(0, gamma))")
-    values = [quasilinear(sf, ell) for ell in range(up_to + 1)]
+    values = list(quasilinear_values(sf, range(up_to + 1)))
     p0 = tuple(max(0, 1 + n) for n in values)
     plus_full = [max(0, -1 - n) for n in values]
     degree = max((ell for ell, c in enumerate(plus_full) if c > 0), default=-1)

@@ -22,9 +22,10 @@ from .lattice import (
     class_rep,
     dual_basis,
     group_order,
-    is_antinef,
     pairing_with_vertex,
     r_of_class,
+    scaled,
+    vertex_pairings,
     zero_cycle,
 )
 from .seifert import (
@@ -42,6 +43,10 @@ from .semigroup import (
     gap_count_direct,
     symmetry_report,
 )
+
+
+# Draws random_seifert makes before giving up; max_alpha = 1000 needs a few hundred.
+MAX_DRAWS = 10_000
 
 
 @dataclass
@@ -62,9 +67,11 @@ def random_seifert(
 
     b0 is the least value making e negative, occasionally bumped to cover
     trivial/rational cases; inputs whose alpha or alpha + gamma exceed the
-    caps are rejected so downstream scans stay desk-scale.
+    caps are rejected so downstream scans stay desk-scale.  After
+    ``MAX_DRAWS`` rejected draws it raises ValueError, as ``max_alpha`` is
+    then too large for the caps.
     """
-    while True:
+    for _ in range(MAX_DRAWS):
         d = rng.randint(3, max_legs)
         legs = []
         for _ in range(d):
@@ -80,6 +87,10 @@ def random_seifert(
         if inv.alpha > alpha_cap or inv.alpha + inv.gamma > window_cap:
             continue
         return sf
+    raise ValueError(
+        f"no Seifert data within alpha_cap = {alpha_cap} and window_cap = {window_cap} "
+        f"in {MAX_DRAWS} draws with max_alpha = {max_alpha}; lower --max-alpha"
+    )
 
 
 def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, product_cap: int = 20_000):
@@ -116,13 +127,15 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     check("smith_order", order == inv.order_h, f"SNF order {order} != alpha_1..alpha_d*|e| = {inv.order_h}")
     check("gamma_is_central_zk_coefficient", zk[0] == inv.gamma + 1, f"m0(Z_K) = {zk[0]}")
     duals = dual_basis(g)
+    # one table of pairings: row v holds L_v*(E_v^*, E_w) over w, L_v the denominator of E_v^*
+    table = [(scale, vertex_pairings(g, a)) for scale, a in map(scaled, duals)]
     ok = all(
-        pairing_with_vertex(g, duals[v], w) == (-1 if v == w else 0)
-        for v in range(g.n)
+        row[w] == (-scale if v == w else 0)
+        for v, (scale, row) in enumerate(table)
         for w in range(g.n)
     )
     check("dual_pairings", ok, "E_v^* pairings are not -delta")
-    check("duals_antinef", all(is_antinef(g, ev) for ev in duals), "a dual cycle is not anti-nef")
+    check("duals_antinef", all(p <= 0 for _, row in table for p in row), "a dual cycle is not anti-nef")
     check(
         "adjunction_residual",
         all(pairing_with_vertex(g, zk, v) == g.euler[v] + 2 for v in range(g.n)),

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from seifert_semigroup import VerificationError, laufer, verification
+from seifert_semigroup import VerificationError, lattice, laufer, verification
 from seifert_semigroup.cli import main
 
 SEC5 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1]]}}'
@@ -127,6 +127,23 @@ def test_laufer_reads_the_scalars_sequences(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_frobenius_both_solves_twice_on_a_gorenstein_record(monkeypatch, capsys):
+    """Z_K and E_0^* are each solved once and kept on the graph: the scalars
+    and the Gorenstein cross-check of the formula share E_0^*."""
+    solves = []
+    exact = lattice._solve
+
+    def counting(g, rhs):
+        solves.append(tuple(rhs))
+        return exact(g, rhs)
+
+    monkeypatch.setattr(lattice, "_solve", counting)
+    gor7 = '{"seifert":{"b0":2,"legs":[[2,1],[2,1],[3,1],[3,1],[7,1],[7,1],[84,1]]}}'
+    code, out = run_cli(capsys, "frobenius", gor7, "--method", "both")
+    assert code == 0 and json.loads(out)["semigroup"]["frobenius"] == 85
+    assert len(solves) == 2
+
+
 def test_bad_record_is_input_error(capsys):
     code = main(["info", '{"seifert":{"b0":1,"legs":[[5,1],[5,2]]}}'])
     assert code == 1
@@ -183,6 +200,21 @@ def test_verify_option_errors_name_the_option(argv, option, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {option} must be at least ") and captured.err.count("\n") == 1
+
+
+def test_verify_refuses_an_unreachable_max_alpha():
+    """Draws up to 1e8 almost never meet the alpha cap: one error line naming
+    the option and the cap after a fixed number of draws, not a hang."""
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", "verify", "--random", "1", "--max-alpha", "100000000"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "--max-alpha" in lines[0] and "alpha_cap" in lines[0]
 
 
 def test_batch_jsonl_and_csv(tmp_path, capsys):

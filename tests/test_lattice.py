@@ -229,6 +229,20 @@ def test_tree_solve_matches_dense_oracle(g):
     assert [dual_cycle(g, v) for v in range(g.n)] == duals
 
 
+def fraction_chi(g, l):
+    """Oracle: chi(l) = (Z_K - l, l)/2 by the Fraction pairing."""
+    return pairing(g, canonical_cycle(g) - l, l) / 2
+
+
+@settings(deadline=None, max_examples=100)
+@given(star_graphs(), st.data())
+def test_integer_chi_matches_fraction_formula(g, data):
+    assume(orbifold_euler_number(g) < 0)
+    coeffs = data.draw(st.lists(st.fractions(-20, 20, max_denominator=30), min_size=g.n, max_size=g.n))
+    for l in (cycle(coeffs), canonical_cycle(g) - cycle(coeffs), dual_cycle(g, 0)):
+        assert chi(g, l) == fraction_chi(g, l)
+
+
 @given(star_graphs())
 def test_tree_solve_refuses_indefinite_graphs(g):
     assume(orbifold_euler_number(g) >= 0)

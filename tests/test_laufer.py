@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from seifert_semigroup import (
     RationalLinkError,
+    VerificationError,
     build_graph,
     canonical_cycle,
     chi,
@@ -25,7 +26,9 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
+from seifert_semigroup.laufer import XSeries, _Sequence, ladder
 from seifert_semigroup.lattice import (
+    ClassRep,
     RationalCycle,
     intersection_matrix,
     orbifold_euler_number,
@@ -231,6 +234,14 @@ def test_step_budget_guard(sf_gor7):
         to_antinef(g, r, step_budget=3)
 
 
+def test_ladder_step_budget_applies_per_rung(sf_gor7):
+    g = build_graph(sf_gor7)
+    for rep_cycle in (zero_cycle(g.n), canonical_cycle(g), canonical_cycle(g) + dual_cycle(g, 0)):
+        with pytest.raises(RuntimeError, match=r"^computation sequence exceeded the step budget \(3\); "
+                           "this indicates a bug or a non-negative-definite graph$"):
+            x_series(g, class_rep(rep_cycle), 5, step_budget=3)
+
+
 def test_unknown_strategy_rejected_before_the_loop(golden_graphs):
     g = golden_graphs["star70"]
     with pytest.raises(ValueError, match="unknown strategy"):
@@ -313,3 +324,62 @@ def test_worklist_kernel_matches_rescan_oracle(case, seed):
             assert got == want == end
             if trace:
                 assert tr.steps == want_steps
+
+
+def rung_by_rung_x_series(g, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
+    """Oracle: the ladder with one fresh restricted sequence per rung (the
+    x_series before the ladder walker), copied verbatim."""
+    if up_to < 0:
+        raise ValueError("up_to must be >= 0")
+    restricted = range(1, g.n)
+    e0 = unit_cycle(g.n, 0)
+    current, _ = to_antinef(g, r_of_class(rep), vertices=restricted, step_budget=step_budget)
+    cycles = [current]
+    for _ in range(up_to):
+        current, _ = to_antinef(g, current + e0, vertices=restricted, step_budget=step_budget)
+        cycles.append(current)
+    r0 = rep.fractional[0]
+    for ell, x in enumerate(cycles):
+        if x[0] != r0 + ell:
+            raise VerificationError(f"central coefficient of x^{ell} is {x[0]}, not {r0 + ell}")
+    n_values = tuple(-pairing_with_vertex(g, x, 0) for x in cycles)
+    return XSeries(rep=rep, cycles=tuple(cycles), n_values=n_values)
+
+
+@st.composite
+def ladder_cases(draw):
+    """A negative-definite star graph, a class (trivial, [Z_K], [Z_K + E_0^*] or
+    a drawn mix of duals) and a ladder length."""
+    g = draw(star_graphs())
+    assume(orbifold_euler_number(g) < 0)
+    mix = canonical_cycle(g) * draw(st.integers(0, 1))
+    for v in draw(st.lists(st.integers(0, g.n - 1), max_size=3)):
+        mix = mix + dual_cycle(g, v)
+    return g, class_rep(mix), draw(st.integers(0, 12))
+
+
+@settings(deadline=None, max_examples=200)
+@given(ladder_cases())
+def test_ladder_walker_matches_rung_by_rung_oracle(case):
+    g, rep, up_to = case
+    want = rung_by_rung_x_series(g, rep, up_to)
+    got = x_series(g, rep, up_to)
+    assert got.cycles == want.cycles
+    assert got.n_values == want.n_values
+    for x, rung in zip(want.cycles, ladder(g, rep)):
+        assert rung.cycle == x
+        assert rung.chi == chi(g, x)
+        assert rung.antinef == is_antinef(g, x)
+
+
+@settings(deadline=None, max_examples=200)
+@given(laufer_starts())
+def test_sequence_state_carries_chi_through_bulk_steps(case):
+    """chi2 follows chi(l + kE_v) = chi(l) + k(e_v + 2 - k e_v)/2 - k(l, E_v) also
+    for k > 1, which untraced full sequences take at the centre."""
+    g, start, vertices = case
+    seq = _Sequence(g, start, range(g.n) if vertices is None else vertices)
+    seq.run(10**6)
+    end = start + cycle(seq.x)
+    assert seq.chi() == chi(g, end)
+    assert all(seq.pairing(v) == pairing_with_vertex(g, end, v) for v in range(g.n))

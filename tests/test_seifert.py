@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,13 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
-from seifert_semigroup.seifert import from_congruence, from_graph, geometric_genus
+from seifert_semigroup.seifert import (
+    floor_frac,
+    from_congruence,
+    from_graph,
+    geometric_genus,
+    quasilinear_values,
+)
 from seifert_semigroup.verification import random_seifert
 
 from conftest import seeded_rng
@@ -219,3 +226,23 @@ def test_quasilinear_superadditivity(x, y):
     sf = SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1)))
     lo = quasilinear(sf, x) + quasilinear(sf, y)
     assert lo <= quasilinear(sf, x + y) <= lo + sf.d
+
+
+@st.composite
+def seifert_data(draw):
+    """3-5 normalized legs with alpha_i <= 30; b0 the least (or next) value with e < 0."""
+    legs = []
+    for a in draw(st.lists(st.integers(2, 30), min_size=3, max_size=5)):
+        w = draw(st.integers(1, a - 1).filter(lambda w, a=a: math.gcd(a, w) == 1))
+        legs.append((a, w))
+    b0 = floor_frac(sum(F(w, a) for a, w in legs)) + 1 + draw(st.integers(0, 1))
+    return SeifertData(b0, tuple(legs))
+
+
+@settings(max_examples=200)
+@given(seifert_data(), st.integers(-300, 300), st.integers(-40, 40), st.sampled_from([1, -1, 3, -3]))
+def test_window_kernel_matches_scalar_definition(sf, start, length, step):
+    """quasilinear_values is N at every point of the range: steps +-1 and +-3,
+    negative starts, and empty ranges (length <= 0 runs against the step)."""
+    ells = range(start, start + length * step, step)
+    assert list(quasilinear_values(sf, ells)) == [quasilinear(sf, ell) for ell in ells]
