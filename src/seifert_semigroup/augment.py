@@ -23,21 +23,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import compress, repeat
 
 from . import laufer
 from .errors import RationalLinkError
-from .lattice import (
-    RationalCycle,
-    StarGraph,
-    build_graph,
-    canonical_cycle,
-    dual_basis,
-    pairing_with_vertex,
-    unit_cycle,
-)
-from .seifert import SeifertData, ceil_frac, invariants, quasilinear_values
+from .lattice import RationalCycle, canonical_cycle, dual_basis, pairing_with_vertex, unit_cycle
+from .seifert import SeifertData, ceil_frac, quasilinear_values
 from .semigroup import frobenius_bruteforce
 
 
@@ -45,29 +36,21 @@ from .semigroup import frobenius_bruteforce
 class AugmentedPair:
     """Base Seifert data together with its (n, 1)-augmented companion.
 
-    The augmented graph reuses the base vertex ids and appends the new leg
-    vertex last, so the inclusion j is coefficient extension by zero.  Both
-    graphs are built on first use and kept on the pair.
+    The augmented graph (``augmented.graph``) reuses the base vertex ids and
+    appends the new leg vertex last, so the inclusion j is coefficient
+    extension by zero.  Each graph is kept on its own Seifert data.
     """
 
     base: SeifertData
     n: int
     augmented: SeifertData
 
-    @cached_property
-    def base_graph(self) -> StarGraph:
-        return build_graph(self.base)
-
-    @cached_property
-    def augmented_graph(self) -> StarGraph:
-        return build_graph(self.augmented)
-
     @property
     def plus_vertex(self) -> int:
-        return self.base_graph.n
+        return self.base.graph.n
 
     def e_plus(self) -> RationalCycle:
-        return unit_cycle(self.augmented_graph.n, self.plus_vertex)
+        return unit_cycle(self.augmented.graph.n, self.plus_vertex)
 
     def include(self, l: RationalCycle) -> RationalCycle:
         """j: extend a base cycle by a zero coefficient on the new vertex."""
@@ -75,8 +58,8 @@ class AugmentedPair:
 
     def project(self, lp: RationalCycle) -> RationalCycle:
         """j*: decompose in the augmented dual basis, drop E_+, map duals back."""
-        g = self.base_graph
-        gn = self.augmented_graph
+        g = self.base.graph
+        gn = self.augmented.graph
         duals = dual_basis(g)
         coeffs = [Fraction(0)] * g.n
         for v in range(g.n):
@@ -98,7 +81,7 @@ def augment(sf: SeifertData, n: int) -> AugmentedPair:
 
 def c_n(sf: SeifertData, n: int) -> Fraction:
     """The coefficient c_n = (n + gamma - 1) / (n - 1/|e|) of the canonical-cycle identity."""
-    inv = invariants(sf)
+    inv = sf.inv
     return (n + inv.gamma - 1) / (n - 1 / (-inv.e))
 
 
@@ -112,16 +95,16 @@ class ZkIdentityReport:
 def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
     """Exact check of Z_K(n) = j(Z_K) + c_n*(E_+ + j(E_0^*)) and its corollaries."""
     sf, n = pair.base, pair.n
-    inv = invariants(sf)
+    inv = sf.inv
     c = c_n(sf, n)
     failures = []
-    g = pair.base_graph
-    gn = pair.augmented_graph
+    g = sf.graph
+    gn = pair.augmented.graph
     lhs = canonical_cycle(gn)
     rhs = pair.include(canonical_cycle(g)) + c * (pair.e_plus() + pair.include(g.e0_star))
     if lhs != rhs:
         failures.append("canonical-cycle identity fails")
-    gamma_n = invariants(pair.augmented).gamma
+    gamma_n = pair.augmented.inv.gamma
     if gamma_n != inv.gamma + c / (-inv.e):
         failures.append("gamma of the augmented data does not match gamma + c/|e|")
     if not sf.trivial and not c >= 1:
@@ -146,9 +129,7 @@ class PropCompReport:
     detail: str = ""
 
 
-def verify_prop_comp(
-    sf: SeifertData, bound: int, n: int | None = None, g: StarGraph | None = None
-) -> PropCompReport:
+def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropCompReport:
     """Check that the augmented module equals the base semigroup on [0, bound].
 
     With ``n`` given, that single augmentation is tested.  Otherwise n starts
@@ -156,14 +137,14 @@ def verify_prop_comp(
     sufficiency threshold -- and doubles on failure, at most four times.
     Alongside membership, the module Frobenius number of the augmented graph
     (lattice formula) must equal the brute-force semigroup Frobenius number
-    of the base whenever the base semigroup is nontrivial.  ``g`` is the
-    plumbing graph of ``sf``, built here when needed and not given.
+    of the base whenever the base semigroup is nontrivial.  The threshold
+    reads s off the Laufer scalars kept on ``sf.graph``.
     """
-    inv = invariants(sf)
+    inv = sf.inv
     if n is not None:
         candidates = [n]
     else:
-        sc = (build_graph(sf) if g is None else g).scalars
+        sc = sf.graph.scalars
         start = max(
             ceil_frac(1 / (-inv.e)) + 1,
             ceil_frac(inv.gamma - sc.s + inv.alpha) + 1,
@@ -190,7 +171,7 @@ def _prop_comp_once(pair: AugmentedPair, bound: int, f_base: int | None) -> tupl
         return False, f"membership differs at ell = {ell} (n = {pair.n})"
     if f_base is not None:
         try:
-            f_module = laufer.frobenius_module(pair.augmented_graph)
+            f_module = laufer.frobenius_module(pair.augmented.graph)
         except RationalLinkError:
             return False, f"augmented graph is rational at n = {pair.n}"
         if f_module != f_base:

@@ -26,13 +26,13 @@ from fractions import Fraction
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
-from .lattice import RationalCycle, build_graph, canonical_cycle, class_rep, r_of_class, zero_cycle
+from .lattice import RationalCycle, canonical_cycle, class_rep, r_of_class, zero_cycle
 from .seifert import (
     SeifertData,
     SeifertInvariants,
     ceil_frac,
     ihs_from_alphas,
-    invariants,
+    is_numerically_gorenstein,
     is_rational_link,
 )
 from .semigroup import (
@@ -167,47 +167,44 @@ def full_report(record: dict) -> dict:
 def cmd_info(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
-    zk = canonical_cycle(build_graph(sf))
     out = _start(record)
-    out["invariants"] = invariants_block(invariants(sf), zk.is_integral(), is_rational_link(sf))
-    out["zk"] = fmt_cycle(zk)
+    out["invariants"] = invariants_block(sf.inv, is_numerically_gorenstein(sf), is_rational_link(sf))
+    out["zk"] = fmt_cycle(canonical_cycle(sf.graph))
     _emit(out)
     return EXIT_OK
+
+
+def _by_method(method: str, formula, brute, what: str = "") -> int:
+    """The value of the ``formula`` or ``brute`` route, or of both when they agree."""
+    if method != "both":
+        return formula() if method == "formula" else brute()
+    f, b = formula(), brute()
+    if f != b:
+        raise VerificationError(f"{what}formula {f} != brute {b}")
+    return f
 
 
 def cmd_frobenius(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
-    g = None if args.method == "brute" else build_graph(sf)  # one graph for both formula routes
     out = _start(record)
     semi: dict = {"trivial": sf.trivial}
     if sf.trivial:
         semi["frobenius"] = -1
-    elif args.method == "formula":
-        semi["frobenius"] = frobenius_by_formula(sf, g)
-    elif args.method == "brute":
-        semi["frobenius"] = frobenius_bruteforce(sf)
     else:
-        formula, brute = frobenius_by_formula(sf, g), frobenius_bruteforce(sf)
-        if formula != brute:
-            print(f"verification failure: formula {formula} != brute {brute}", file=sys.stderr)
-            return EXIT_VERIFY
-        semi["frobenius"] = formula
-
+        semi["frobenius"] = _by_method(
+            args.method, lambda: frobenius_by_formula(sf), lambda: frobenius_bruteforce(sf)
+        )
     # each route raises RationalLinkError on a rational link, so the first
     # route to run decides rationality
-    module: dict = {"rational": False}
     try:
-        if args.method == "formula":
-            module["frobenius"] = laufer.frobenius_module(g)
-        elif args.method == "brute":
-            module["frobenius"] = frobenius_bruteforce(sf, "module")
-        else:
-            formula, brute = laufer.frobenius_module(g), frobenius_bruteforce(sf, "module")
-            if formula != brute:
-                print(f"verification failure: module formula {formula} != brute {brute}", file=sys.stderr)
-                return EXIT_VERIFY
-            module["frobenius"] = formula
+        frobenius = _by_method(
+            args.method,
+            lambda: laufer.frobenius_module(sf.graph),
+            lambda: frobenius_bruteforce(sf, "module"),
+            "module ",
+        )
+        module = {"rational": False, "frobenius": frobenius}
     except RationalLinkError:
         module = {"rational": True, "frobenius": None}
     out["method"] = args.method
@@ -244,8 +241,7 @@ def cmd_semigroup(args) -> int:
 
 def cmd_laufer(args) -> int:
     record = parse_record(_read_record(args.record))
-    sf = record_seifert(record)
-    g = build_graph(sf)
+    g = record_seifert(record).graph
     zk = canonical_cycle(g)
     if args.class_rep == "zk":
         start_class = class_rep(zk)

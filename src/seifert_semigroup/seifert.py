@@ -16,6 +16,11 @@ o = alpha*|e|, and the exponent gamma = (d - 2 - sum_i 1/alpha_i)/|e|.
 
 All ceilings are exact integer ceil-divisions; no floating point.
 
+A :class:`SeifertData` owns what it determines: its orbifold Euler number,
+its derived invariants (``sf.inv``) and its plumbing graph (``sf.graph``)
+are computed on first use and kept on the record, so every layer reads the
+same ones instead of rebuilding or passing them around.
+
 N is evaluated in two ways.  :func:`quasilinear` is the scalar definition,
 for sampled points.  :func:`quasilinear_values` is the window kernel: it
 yields N over a whole range of ell from C-level ``map``s over scaled ranges,
@@ -32,10 +37,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import VerificationError
-from .lattice import StarGraph, build_graph, canonical_cycle, cf_value
+from .lattice import StarGraph, build_graph, cf_value
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -53,7 +58,11 @@ def floor_frac(x: Fraction) -> int:
 
 @dataclass(frozen=True)
 class SeifertData:
-    """Normalized Seifert invariants (-b0; (alpha_i, omega_i)_i), d >= 3."""
+    """Normalized Seifert invariants (-b0; (alpha_i, omega_i)_i), d >= 3.
+
+    e, the derived invariants and the plumbing graph are kept on the record
+    after first use (as :class:`StarGraph` keeps what the graph determines).
+    """
 
     b0: int
     legs: tuple[tuple[int, int], ...]
@@ -75,9 +84,19 @@ class SeifertData:
     def d(self) -> int:
         return len(self.legs)
 
-    @property
+    @cached_property
     def e(self) -> Fraction:
         return -self.b0 + sum(Fraction(w, a) for a, w in self.legs)
+
+    @cached_property
+    def inv(self) -> SeifertInvariants:
+        """The derived scalar invariants (see :func:`invariants`)."""
+        return invariants(self)
+
+    @cached_property
+    def graph(self) -> StarGraph:
+        """The star-shaped plumbing graph (see :func:`lattice.build_graph`)."""
+        return build_graph(self)
 
     @property
     def trivial(self) -> bool:
@@ -143,9 +162,8 @@ class QuasilinearTable:
     """
 
     def __init__(self, sf: SeifertData):
-        self.inv = invariants(sf)
-        self.alpha = self.inv.alpha
-        self.orbit_order = self.inv.orbit_order
+        self.alpha = sf.inv.alpha
+        self.orbit_order = sf.inv.orbit_order
         self.base = list(quasilinear_values(sf, range(self.alpha)))
 
     def __call__(self, ell: int) -> int:
@@ -208,7 +226,7 @@ def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
 
 def is_numerically_gorenstein(sf: SeifertData) -> bool:
     """True iff the canonical cycle of the plumbing graph is integral."""
-    return canonical_cycle(build_graph(sf)).is_integral()
+    return sf.graph.zk.is_integral()
 
 
 def geometric_genus(sf: SeifertData) -> int:
@@ -216,7 +234,7 @@ def geometric_genus(sf: SeifertData) -> int:
 
     Only levels 0 <= ell <= gamma can contribute, as N(ell) >= -1 above gamma.
     """
-    gamma = invariants(sf).gamma
+    gamma = sf.inv.gamma
     if gamma < 0:
         return 0
     deficits = map(operator.invert, quasilinear_values(sf, range(floor_frac(gamma) + 1)))  # -1 - N
@@ -224,7 +242,10 @@ def geometric_genus(sf: SeifertData) -> int:
 
 
 def is_rational_link(sf: SeifertData) -> bool:
-    """Rationality of the link: the geometric genus vanishes."""
+    """Rationality of the link: the geometric genus vanishes.
+
+    ``frobenius_bruteforce(sf, "module")`` decides the same on its own scan.
+    """
     return geometric_genus(sf) == 0
 
 

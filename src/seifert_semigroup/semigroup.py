@@ -26,16 +26,13 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
-from .lattice import StarGraph, build_graph, canonical_cycle
 from .seifert import (
     QuasilinearTable,
     SeifertData,
     ceil_div,
     ceil_frac,
     floor_frac,
-    invariants,
     is_numerically_gorenstein,
-    is_rational_link,
     quasilinear_values,
     shared_factor_pair,
 )
@@ -64,7 +61,7 @@ class Link:
     def __init__(self, sf: SeifertData):
         self.sf = sf
         self.n = QuasilinearTable(sf)
-        self.inv = self.n.inv
+        self.inv = sf.inv
 
     @cached_property
     def ap(self) -> AperyData:
@@ -137,24 +134,24 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
 
     The scan windows are exact: N(ell) >= 0 for ell > alpha + gamma, and
     N(ell) >= -1 for ell > gamma, so the first hit from the top is the
-    Frobenius number.
+    Frobenius number.  The module scan is also the brute-force rationality
+    test: p_g sums max(0, -1 - N(ell)) over [0, gamma] and N(0) = 0, so a
+    scan without a hit means p_g = 0 and raises :class:`RationalLinkError`.
     """
-    inv = invariants(sf)
+    inv = sf.inv
     if kind == "semigroup":
         if sf.trivial:
             raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
         ells = range(floor_frac(inv.alpha + inv.gamma), 0, -1)
         hit = next(compress(ells, map((0).__gt__, quasilinear_values(sf, ells))), None)
         if hit is None:
-            raise AssertionError("unreachable: N(1) = b0 - d < 0")
+            raise VerificationError(f"no gap in (0, alpha + gamma] though N(1) = b0 - d = {sf.b0 - sf.d} < 0")
         return hit
     if kind == "module":
-        if is_rational_link(sf):
-            raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
         ells = range(floor_frac(inv.gamma), 0, -1)
         hit = next(compress(ells, map((-2).__ge__, quasilinear_values(sf, ells))), None)
         if hit is None:
-            raise AssertionError("unreachable: a non-rational link has a gap in (0, gamma]")
+            raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
         return hit
     raise ValueError(f"unknown kind {kind!r}")
 
@@ -167,11 +164,11 @@ def frobenius_module_raw(link: Link | SeifertData) -> int:
     return as_link(link).module_frobenius_raw
 
 
-def frobenius_by_formula(sf: SeifertData, g: StarGraph | None = None) -> int:
+def frobenius_by_formula(sf: SeifertData) -> int:
     """Frobenius number of the semigroup: gamma + 1/|e| - s-check.
 
-    Needs b0 < d (otherwise the semigroup is trivial).  ``g`` is the plumbing
-    graph of ``sf``, built here when not given.  The special shapes are
+    Needs b0 < d (otherwise the semigroup is trivial).  The Laufer scalars
+    and E_0^* are read off ``sf.graph``.  The special shapes are
     cross-checked: for orbit order one the formula collapses to
     gamma + alpha - s, and in the numerically Gorenstein case the value is
     gamma + m_0(E_0^* - s_[E_0^*]) >= gamma; a failed check raises
@@ -179,15 +176,14 @@ def frobenius_by_formula(sf: SeifertData, g: StarGraph | None = None) -> int:
     """
     if sf.trivial:
         raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
-    inv = invariants(sf)
-    g = build_graph(sf) if g is None else g
+    inv, g = sf.inv, sf.graph
     sc = g.scalars
     f = inv.gamma + 1 / (-inv.e) - sc.s_check
     if f.denominator != 1:
         raise VerificationError(f"formula value {f} is not an integer")
     if inv.orbit_order == 1 and f != inv.gamma + inv.alpha - sc.s:
         raise VerificationError(f"formula value {f} != gamma + alpha - s = {inv.gamma + inv.alpha - sc.s}")
-    if canonical_cycle(g).is_integral():
+    if is_numerically_gorenstein(sf):
         gorenstein = inv.gamma + (g.e0_star - sc.s_check_cycle)[0]
         if f != gorenstein or f < inv.gamma:
             raise VerificationError(
@@ -208,7 +204,7 @@ def apery_selmer(link: Link | SeifertData) -> AperyData:
 
 def gap_count_direct(sf: SeifertData) -> int:
     """Number of gaps by direct enumeration of non-members in (0, alpha + gamma]."""
-    inv = invariants(sf)
+    inv = sf.inv
     return sum(map((0).__gt__, quasilinear_values(sf, range(1, floor_frac(inv.alpha + inv.gamma) + 1))))
 
 
@@ -370,8 +366,7 @@ class PoincareData:
 
 
 def poincare(sf: SeifertData, up_to: int) -> PoincareData:
-    inv = invariants(sf)
-    if up_to < max(0, ceil_frac(inv.gamma)):
+    if up_to < max(0, ceil_frac(sf.inv.gamma)):
         raise ValueError("up_to must reach ceil(max(0, gamma))")
     values = list(quasilinear_values(sf, range(up_to + 1)))
     p0 = tuple(max(0, 1 + n) for n in values)

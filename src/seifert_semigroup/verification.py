@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laufer, semigroup
-from .errors import VerificationError
+from .errors import RationalLinkError, VerificationError
 from .lattice import (
-    build_graph,
     canonical_cycle,
     class_rep,
     dual_basis,
@@ -28,14 +27,7 @@ from .lattice import (
     vertex_pairings,
     zero_cycle,
 )
-from .seifert import (
-    SeifertData,
-    ceil_frac,
-    floor_frac,
-    invariants,
-    is_rational_link,
-    quasilinear,
-)
+from .seifert import SeifertData, ceil_frac, floor_frac, quasilinear
 from .semigroup import (
     Link,
     frobenius_bruteforce,
@@ -83,7 +75,7 @@ def random_seifert(
         total = sum(Fraction(w, a) for a, w in legs)
         b0 = floor_frac(total) + 1 + (1 if rng.random() < 0.15 else 0)
         sf = SeifertData(b0, tuple(legs))
-        inv = invariants(sf)
+        inv = sf.inv
         if inv.alpha > alpha_cap or inv.alpha + inv.gamma > window_cap:
             continue
         return sf
@@ -108,8 +100,7 @@ def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, produ
 def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[CheckResult]:
     """Run the per-input invariant and oracle-agreement suite."""
     rng = rng or random.Random(0)
-    inv = invariants(sf)
-    g = build_graph(sf)
+    inv, g = sf.inv, sf.graph
     zk = canonical_cycle(g)
     results: list[CheckResult] = []
 
@@ -190,7 +181,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     link = Link(sf)
     ap = link.ap
     if not sf.trivial:
-        f_formula = route("semigroup_frobenius_agreement", frobenius_by_formula, sf, g)
+        f_formula = route("semigroup_frobenius_agreement", frobenius_by_formula, sf)
         f_brute = frobenius_bruteforce(sf)
         if f_formula is not None:
             check("semigroup_frobenius_agreement", f_formula == f_brute,
@@ -209,9 +200,12 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
     del link, ap  # free the table before the augmentation checks, which need memory of their own
-    if not is_rational_link(sf):
-        fm_formula = route("module_frobenius_agreement", laufer.frobenius_module, g)
+    try:  # the brute module scan decides rationality
         fm_brute = frobenius_bruteforce(sf, "module")
+    except RationalLinkError:
+        pass
+    else:
+        fm_formula = route("module_frobenius_agreement", laufer.frobenius_module, g)
         if fm_formula is not None:
             check("module_frobenius_agreement", fm_formula == fm_brute,
                   f"module formula {fm_formula} != brute {fm_brute}")
@@ -228,7 +222,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         from .augment import verify_prop_comp  # local import to avoid a cycle
 
         bound = floor_frac(inv.alpha + inv.gamma) + 10
-        prop = route("augmented_module_stabilises", verify_prop_comp, sf, bound, None, g)
+        prop = route("augmented_module_stabilises", verify_prop_comp, sf, bound)
         if prop is not None:
             check("augmented_module_stabilises", prop.passed, prop.detail)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -51,6 +52,26 @@ def golden_graphs(sf_star70, sf_base4, sf_asym5, sf_gor7, sf_237):
 
 def seeded_rng(tag: int) -> random.Random:
     return random.Random(20260809 + tag)
+
+
+def count_calls(monkeypatch, fn) -> list[tuple]:
+    """Record the positional arguments of every call to the package function ``fn``.
+
+    The counting wrapper replaces ``fn`` in every package module that binds
+    it, so calls through another module's import of ``fn`` are seen too.
+    """
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "seifert_semigroup" or name.startswith("seifert_semigroup."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 @st.composite

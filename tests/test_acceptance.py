@@ -236,7 +236,7 @@ def test_criterion_8_augmentation_suite():
     inv = invariants(SF_BASE4)
     assert quasilinear_shift_holds(pair, -2 * inv.alpha, 3 * inv.alpha)
     assert zk_identity_check(pair).passed
-    g, gn = pair.base_graph, pair.augmented_graph
+    g, gn = pair.base.graph, pair.augmented.graph
     for _ in range(25):
         lp = cycle([F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(gn.n)])
         l = cycle([rng.randint(-4, 4) for _ in range(g.n)])

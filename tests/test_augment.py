@@ -79,8 +79,8 @@ def test_zk_identity_random():
 
 def test_projection_operators(sf_base4):
     pair = augment(sf_base4, 70)
-    g = pair.base_graph
-    gn = pair.augmented_graph
+    g = pair.base.graph
+    gn = pair.augmented.graph
     assert pair.project(pair.e_plus()) == -1 * dual_cycle(g, 0)
     for v in range(g.n):
         assert pair.project(pair.include(unit_cycle(g.n, v))) == unit_cycle(g.n, v)
@@ -94,7 +94,7 @@ def test_projection_operators(sf_base4):
 def test_projection_formula_random(sf_base4):
     rng = seeded_rng(41)
     pair = augment(sf_base4, 70)
-    g, gn = pair.base_graph, pair.augmented_graph
+    g, gn = pair.base.graph, pair.augmented.graph
     for _ in range(25):
         lp = cycle([F(rng.randint(-6, 6), rng.choice([1, 2, 5])) for _ in range(gn.n)])
         l = cycle([rng.randint(-4, 4) for _ in range(g.n)])
@@ -111,8 +111,8 @@ def test_projected_minimal_representative_is_minimal(sf_base4):
         inv = invariants(sf)
         n = max(2, int(1 / (-inv.e)) + 2)
         pair = augment(sf, n)
-        gn = pair.augmented_graph
-        g = pair.base_graph
+        gn = pair.augmented.graph
+        g = pair.base.graph
         s_n, _ = to_antinef(gn, r_of_class(class_rep(canonical_cycle(gn))))
         proj = pair.project(s_n)
         assert is_antinef(g, proj)

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from seifert_semigroup import VerificationError, lattice, laufer, verification
+from seifert_semigroup import SeifertData, VerificationError, lattice, laufer, seifert, verification
 from seifert_semigroup.cli import main
+
+from conftest import count_calls
 
 SEC5 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1]]}}'
 
@@ -142,6 +145,45 @@ def test_frobenius_both_solves_twice_on_a_gorenstein_record(monkeypatch, capsys)
     code, out = run_cli(capsys, "frobenius", gor7, "--method", "both")
     assert code == 0 and json.loads(out)["semigroup"]["frobenius"] == 85
     assert len(solves) == 2
+
+
+def test_frobenius_both_decides_rationality_once(monkeypatch, capsys):
+    """The formula route computes p_g; the brute module scan is its own
+    rationality test, so p_g is not computed a second time."""
+    calls = count_calls(monkeypatch, seifert.geometric_genus)
+    code, out = run_cli(capsys, "frobenius", SEC5, "--method", "both")
+    assert code == 0 and json.loads(out)["module"] == {"rational": False, "frobenius": 2}
+    assert len(calls) == 1
+
+
+def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
+    """Every route of verify_seifert reads the invariants and the plumbing
+    graph kept on the record; other calls are for augmented data or data
+    read back off a graph, which are other objects."""
+    sf = SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1)))
+    inv_calls = count_calls(monkeypatch, seifert.invariants)
+    graph_calls = count_calls(monkeypatch, lattice.build_graph)
+    results = verification.verify_seifert(sf, random.Random(0))
+    routes = {"semigroup_frobenius_agreement", "module_frobenius_agreement", "augmented_module_stabilises"}
+    assert routes <= {r.name for r in results} and all(r.passed for r in results)
+    assert sum(args[0] is sf for args in inv_calls) == 1
+    assert sum(args[0] is sf for args in graph_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "module, route, message",
+    [
+        ("seifert_semigroup.cli", "frobenius_by_formula", "formula 99 != brute 3"),
+        ("seifert_semigroup.laufer", "frobenius_module", "module formula 99 != brute 2"),
+    ],
+    ids=["semigroup", "module"],
+)
+def test_frobenius_both_disagreement_exits_2(module, route, message, monkeypatch, capsys):
+    monkeypatch.setattr(f"{module}.{route}", lambda *args: 99)
+    code = main(["frobenius", SEC5, "--method", "both"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"verification failure: {message}\n"
 
 
 def test_bad_record_is_input_error(capsys):

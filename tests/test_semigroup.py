@@ -7,12 +7,14 @@ from seifert_semigroup import (
     RationalLinkError,
     SemigroupView,
     TrivialSemigroupError,
+    VerificationError,
     apery_selmer,
     build_graph,
     dual_cycle,
     end_projection_generators,
     frobenius_bruteforce,
     frobenius_by_formula,
+    geometric_genus,
     gorenstein_symmetry_check,
     ihs_generators,
     invariants,
@@ -25,6 +27,7 @@ from seifert_semigroup import (
     strongly_flat_check,
     symmetry_report,
 )
+from seifert_semigroup import seifert, semigroup
 from seifert_semigroup.seifert import SeifertData, ihs_from_alphas
 from seifert_semigroup.semigroup import (
     frobenius_module_raw,
@@ -34,7 +37,7 @@ from seifert_semigroup.semigroup import (
 )
 from seifert_semigroup.verification import random_seifert
 
-from conftest import seeded_rng
+from conftest import count_calls, seeded_rng
 
 
 def test_frobenius_golden(sf_base4, sf_asym5, sf_gor7, sf_237, sf_e8):
@@ -81,6 +84,37 @@ def test_module_frobenius_brute(sf_star70, sf_base4, sf_e8):
     with pytest.raises(RationalLinkError):
         frobenius_bruteforce(sf_e8, "module")
     assert frobenius_module_raw(sf_e8) == -1  # every nonnegative level is in the module
+
+
+def test_module_scan_decides_rationality(sf_e8, monkeypatch):
+    """No ell in (0, gamma] with N(ell) <= -2 is exactly p_g = 0, so the
+    module scan raises RationalLinkError without computing p_g."""
+    calls = count_calls(monkeypatch, seifert.geometric_genus)
+    with pytest.raises(RationalLinkError):
+        frobenius_bruteforce(sf_e8, "module")
+    assert calls == []
+
+
+def test_module_scan_raises_exactly_on_rational_links():
+    rng = seeded_rng(12)
+    rational = 0
+    for _ in range(60):
+        sf = random_seifert(rng, max_alpha=12, alpha_cap=3000, window_cap=8000)
+        try:
+            frobenius_bruteforce(sf, "module")
+        except RationalLinkError:
+            rational += 1
+            assert geometric_genus(sf) == 0, sf
+        else:
+            assert geometric_genus(sf) > 0, sf
+    assert 0 < rational < 60
+
+
+def test_semigroup_scan_without_a_gap_is_a_verification_failure(sf_237, monkeypatch):
+    """b0 < d puts 1 outside the semigroup; a scan finding no gap is a broken N."""
+    monkeypatch.setattr(semigroup, "quasilinear_values", lambda sf, ells: itertools.repeat(0, len(ells)))
+    with pytest.raises(VerificationError, match="N\\(1\\)"):
+        frobenius_bruteforce(sf_237)
 
 
 def test_min_module(sf_237, sf_gor7, sf_e8):
