@@ -96,7 +96,7 @@ def record_seifert(record: dict) -> SeifertData:
     """The Seifert data of a record, synthesising it for alphas/bh inputs; nothing is coerced."""
     if "seifert" in record:
         payload = record["seifert"]
-        if not isinstance(payload, dict):
+        if not isinstance(payload, dict) or not {"b0", "legs"} <= payload.keys():
             raise ValueError("'seifert' must be an object with 'b0' and 'legs'")
         legs = payload["legs"]
         if not isinstance(legs, list) or not all(isinstance(leg, list) and len(leg) == 2 for leg in legs):
@@ -369,6 +369,8 @@ def _batch_one(line: str) -> tuple[str, bool]:
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.infile, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if args.jobs > 1:

@@ -7,23 +7,24 @@ semigroup scan is exact on (0, alpha + gamma], the module scan on
 (0, gamma]), and both admit closed lattice formulas; the two routes are kept
 separate so each can certify the other.
 
-Every other semigroup and module quantity -- the Apery set with respect to
-alpha, Selmer's Frobenius number and gap count, min(M), the raw module
-Frobenius number, minimal generators and the symmetry diagnostics -- is read
-off one :class:`Link` per record, which holds a single table of N over one
-period.  Also here: minimal generator computation for any membership test,
-strongly flat recognition, end-vertex projections of integral homology
-sphere semigroups and the Poincare series decomposition into polynomial and
-negative parts.
+Every other semigroup and module quantity is read off one :class:`Link` per
+record: one table of N over a period gives the least element of each residue
+class at each level, the Apery set at level 0 and the module minima at -1.
+The generators are sought among the Apery elements, and symmetry follows
+from Selmer's gap count.  Also here: minimal generator computation for any
+membership test, strongly flat recognition, end-vertex projections of
+integral homology sphere semigroups and the Poincare series decomposition
+into polynomial and negative parts.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from typing import Callable, Sequence
+from itertools import chain, compress, cycle, islice, repeat
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
 from .seifert import (
@@ -48,14 +49,14 @@ class AperyData:
 class Link:
     """One record's semigroup and module, read off a single period table of N.
 
-    N(q*alpha + r) = N(r) + q*o holds exactly, so the table of N over
-    [0, alpha) fixes everything one residue class at a time: class r holds
-    the semigroup elements ell >= Ap[r] = ceil(-N(r)/o)*alpha + r and the
-    module elements ell >= m_r = ceil((-1 - N(r))/o)*alpha + r.  Selmer's
-    formulas give the Frobenius number max(Ap) - alpha and the gap count
-    (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap is
-    {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
-    The table is built with the Link; everything else on first use.
+    N(q*alpha + r) = N(r) + q*o holds exactly, so the least ell = r (mod alpha)
+    with N(ell) >= level is r - alpha*((N(r) - level) // o) (:meth:`least`):
+    the Apery element Ap[r] at level 0, the module minimum m_r at level -1.
+    Selmer's formulas give the Frobenius number max(Ap) - alpha and the gap
+    count (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap
+    is {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
+    The Link keeps the table and Ap and no other alpha-sized container: each
+    pass over the m_r reads the table again.
     """
 
     def __init__(self, sf: SeifertData):
@@ -63,10 +64,15 @@ class Link:
         self.n = QuasilinearTable(sf)
         self.inv = sf.inv
 
+    def least(self, level: int) -> Iterator[int]:
+        """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy)."""
+        alpha = self.inv.alpha
+        steps = map(operator.floordiv, map((-level).__add__, self.n.base), repeat(self.inv.orbit_order))
+        return map(operator.sub, range(alpha), map(alpha.__mul__, steps))
+
     @cached_property
     def ap(self) -> AperyData:
-        alpha, o = self.inv.alpha, self.inv.orbit_order
-        apery = tuple(ceil_div(-v, o) * alpha + r for r, v in enumerate(self.n.base))
+        alpha, apery = self.inv.alpha, tuple(self.least(0))
         return AperyData(
             apery=apery,
             frobenius=max(apery) - alpha,
@@ -76,20 +82,16 @@ class Link:
     def in_semigroup(self, ell: int) -> bool:
         return ell >= self.ap.apery[ell % self.inv.alpha]
 
-    def module_least(self, r: int) -> int:
-        """m_r, the least module element congruent to r (mod alpha), for 0 <= r < alpha."""
-        return ceil_div(-1 - self.n.base[r], self.inv.orbit_order) * self.inv.alpha + r
-
     def in_module(self, ell: int) -> bool:
-        return ell >= self.module_least(ell % self.inv.alpha)
+        return self.n(ell) >= -1
 
     @cached_property
     def module_min(self) -> int:
-        return min(map(self.module_least, range(self.inv.alpha)))
+        return min(self.least(-1))
 
     @cached_property
     def module_frobenius_raw(self) -> int:
-        return max(map(self.module_least, range(self.inv.alpha))) - self.inv.alpha
+        return max(self.least(-1)) - self.inv.alpha
 
     @property
     def rational(self) -> bool:
@@ -123,10 +125,6 @@ class SemigroupView:
 
     def members(self, lo: int, hi: int) -> list[int]:
         return [ell for ell in range(lo, hi + 1) if ell in self]
-
-    @property
-    def frobenius(self) -> int:
-        return frobenius_bruteforce(self.sf, self.kind)
 
 
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
@@ -212,31 +210,32 @@ def gap_count_direct(sf: SeifertData) -> int:
 # Generators
 
 
-def minimal_generators_from_membership(member: Callable[[int], bool], frobenius: int) -> list[int]:
+def minimal_generators_from_membership(member: Callable[[int], bool], candidates: Iterable[int]) -> list[int]:
     """Minimal generating set of a numerical semigroup given by membership.
 
-    ``frobenius`` is the largest non-member (-1 for the full semigroup N).
-    Candidates live in (0, f + m] with m the multiplicity: anything larger
-    splits off m.  A member is a generator iff no smaller generator leaves a
-    positive member as difference.
+    ``candidates`` ascend and include every minimal generator; (0, f + m]
+    does, with m the multiplicity, since anything larger splits off m.  A
+    member is a generator iff no smaller generator leaves a member as difference.
     """
-    f = max(frobenius, 0)
-    m = next(s for s in range(1, f + 2) if member(s))
     gens: list[int] = []
-    for s in range(1, f + m + 1):
-        if member(s) and not any(s - g > 0 and member(s - g) for g in gens):
+    for s in candidates:
+        if member(s) and not any(member(s - g) for g in gens):
             gens.append(s)
     return gens
 
 
-def minimal_generators(view: SemigroupView | Link | SeifertData) -> list[int]:
-    """Minimal generators of the semigroup of a Seifert link, by Apery membership."""
-    if isinstance(view, SemigroupView):
-        if view.kind != "semigroup":
-            raise ValueError("minimal generators are defined for the semigroup view")
-        view = view.link
-    link = as_link(view)
-    return minimal_generators_from_membership(link.in_semigroup, link.ap.frobenius)
+def minimal_generators(link: Link | SeifertData) -> list[int]:
+    """Minimal generators of the semigroup of a Seifert link, from Apery candidates.
+
+    Every minimal generator other than alpha is a nonzero Apery element, and
+    none exceeds f + m; the multiplicity m is the least of all those candidates.
+    """
+    link = as_link(link)
+    apery, alpha = link.ap.apery, link.inv.alpha
+    m = min(chain(filter(None, apery), (alpha,)))
+    window = range(1, max(link.ap.frobenius, 0) + m + 1)
+    candidates = sorted(filter(window.__contains__, chain(apery, (alpha,))))
+    return minimal_generators_from_membership(link.in_semigroup, candidates)
 
 
 def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:
@@ -274,10 +273,8 @@ def frobenius_of_generators(gens: Sequence[int]) -> int:
 
 def minimal_generators_of_monoid(gens: Sequence[int]) -> list[int]:
     """Minimal generating set of the monoid generated by ``gens``."""
-    f = frobenius_of_generators(gens)
-    hi = max(f, 0) + min(g for g in gens if g > 0) + 1
-    table = monoid_sieve(gens, hi + max(gens))
-    return minimal_generators_from_membership(lambda s: 0 <= s < len(table) and bool(table[s]), f)
+    top = max(frobenius_of_generators(gens), 0) + min(gens)
+    return minimal_generators_from_membership(monoid_sieve(gens, top).__getitem__, range(1, top + 1))
 
 
 def ihs_generators(alphas: Sequence[int]) -> list[int]:
@@ -393,25 +390,28 @@ class SymmetryReport:
 
 
 def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
-    """Test ell in S <=> f - ell not in S on [0, f], and whether the module
-    is generated by its minimum.
+    """Whether ell in S <=> f - ell not in S, and whether the module is
+    generated by its minimum.
 
-    Witnesses are the pairs (ell, f - ell) violating the equivalence.  N is
-    superadditive, so min(M) + S lies in M, and the two are equal exactly
-    when every class r has m_r = min(M) + Ap[(r - min(M)) mod alpha].  For
-    numerically Gorenstein data the two verdicts provably agree.
+    S is symmetric iff it has (f + 1)/2 gaps, so only a non-symmetric S is
+    scanned on [0, f/2] for witnesses, the pairs (ell, f - ell) violating the
+    equivalence.  N is superadditive, so min(M) + S lies in M, and the two
+    are equal exactly when every class r has m_r = min(M) + Ap[(r - min(M))
+    mod alpha].  For numerically Gorenstein data the two verdicts agree.
     """
     link = as_link(link)
     if link.sf.trivial:
         raise TrivialSemigroupError("trivial semigroup has no finite Frobenius number")
-    f = link.ap.frobenius
-    member = link.in_semigroup
-    witnesses = tuple((ell, f - ell) for ell in range(f // 2 + 1) if member(ell) == member(f - ell))
+    f, gaps, member = link.ap.frobenius, link.ap.gaps, link.in_semigroup
+    symmetric = 2 * gaps == f + 1
+    scan = () if symmetric else range(f // 2 + 1)
+    witnesses = tuple((ell, f - ell) for ell in scan if member(ell) == member(f - ell))
+    if not symmetric and not witnesses:
+        raise VerificationError(f"{gaps} gaps with Frobenius number {f}, but no symmetry witness")
     alpha, apery, minm = link.inv.alpha, link.ap.apery, link.module_min
-    module_principal = all(
-        link.module_least(r) == minm + apery[(r - minm) % alpha] for r in range(alpha)
-    )
-    symmetric = not witnesses
+    start = -minm % alpha
+    rotated = map(minm.__add__, islice(cycle(apery), start, start + alpha))
+    module_principal = all(map(operator.eq, link.least(-1), rotated))
     if link.gorenstein and symmetric != module_principal:
         raise VerificationError("Gorenstein symmetry/principality must agree")
     return SymmetryReport(symmetric=symmetric, witnesses=witnesses, module_principal=module_principal)
@@ -440,16 +440,15 @@ def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryRep
     if inv.gamma.denominator != 1:
         raise VerificationError(f"gamma = {inv.gamma} must be an integer for numerically Gorenstein data")
     gamma, alpha, n, apery = int(inv.gamma), inv.alpha, link.n, link.ap.apery
-    checks = [("N(ell) + N(gamma - ell) = -2", lambda r: n(r) + n(gamma - r) == -2)]
+    rs = range(alpha)
+    checks = [("N(ell) + N(gamma - ell) = -2", (n(r) + n(gamma - r) == -2 for r in rs))]
     if inv.orbit_order == 1:
-        checks.append(("N(ell) + N(alpha + gamma - ell) = -1", lambda r: n(r) + n(alpha + gamma - r) == -1))
-    checks.append((
-        "level-set identity",
-        lambda r: link.module_least(r) == min(apery[r], gamma + alpha - apery[(gamma - r) % alpha]),
-    ))
+        checks.append(("N(ell) + N(alpha + gamma - ell) = -1", (n(r) + n(alpha + gamma - r) == -1 for r in rs)))
+    level_set = (min(apery[r], gamma + alpha - apery[(gamma - r) % alpha]) for r in rs)
+    checks.append(("level-set identity", map(operator.eq, link.least(-1), level_set)))
     failures = []
     for name, holds in checks:
-        bad = next((r for r in range(alpha) if not holds(r)), None)
+        bad = next((r for r, ok in enumerate(holds) if not ok), None)
         if bad is not None:
             failures.append(f"{name} fails in residue class {bad}")
     return GorensteinSymmetryReport(passed=not failures, failures=tuple(failures))

@@ -295,6 +295,16 @@ def test_batch_bad_record_exit_code(tmp_path):
     assert result["id"] == "bad" and "error" in result
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_batch_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    infile = tmp_path / "in.jsonl"
+    infile.write_text('{"alphas":[2,3,7]}\n')
+    assert main(["batch", "--in", str(infile), "--jobs", jobs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 SEIFERT_LEGS = '[[2,1],[3,1],[7,1]]'
 
 
@@ -310,9 +320,11 @@ SEIFERT_LEGS = '[[2,1],[3,1],[7,1]]'
         ('{"seifert":{"b0":1,"legs":5}}', "'legs' must be a list of [a, w] pairs, got 5"),
         ('{"seifert":[1]}', "'seifert' must be an object"),
         ('{"seifert":{"b0":1,"legs":[[5,1,9],[2,1],[3,1]]}}', "'legs' must be a list of [a, w] pairs"),
+        ('{"seifert":{"legs":%s}}' % SEIFERT_LEGS, "'seifert' must be an object with 'b0' and 'legs'"),
+        ('{"seifert":{"b0":1}}', "'seifert' must be an object with 'b0' and 'legs'"),
     ],
     ids=["b0-float", "b0-bool", "b0-string", "alphas-float", "alphas-string", "bh-string",
-         "legs-int", "seifert-list", "leg-triple"],
+         "legs-int", "seifert-list", "leg-triple", "seifert-no-b0", "seifert-no-legs"],
 )
 def test_malformed_record_is_one_line_input_error(record, message, capsys, tmp_path):
     assert main(["info", record]) == 1

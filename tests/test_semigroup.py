@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -205,8 +206,6 @@ def test_strongly_flat():
 
 def test_ihs_generators_attain_bound():
     rng = seeded_rng(32)
-    import math
-
     for _ in range(10):
         alphas = []
         while len(alphas) < 3:
@@ -330,8 +329,6 @@ def test_monoid_membership_equals_end_dual_projections(sf_237):
 
 def test_frobenius_of_generators_matches_sylvester():
     rng = seeded_rng(33)
-    import math
-
     for _ in range(20):
         a = rng.randint(2, 30)
         b = rng.randint(2, 30)
@@ -340,3 +337,113 @@ def test_frobenius_of_generators_matches_sylvester():
         assert frobenius_of_generators([a, b]) == a * b - a - b
     # 20 = 6 + 14 and 27 = 6 + 21 are redundant
     assert minimal_generators_of_monoid([6, 14, 21, 20, 27]) == [6, 14, 21]
+
+
+# ---------------------------------------------------------------------------
+# Apery-set quantities against the earlier per-class scans, kept as oracles
+
+
+def _scan_minimal_generators_from_membership(member, frobenius):
+    """Generators by testing membership across all of (0, f + m]."""
+    f = max(frobenius, 0)
+    m = next(s for s in range(1, f + 2) if member(s))
+    gens = []
+    for s in range(1, f + m + 1):
+        if member(s) and not any(s - g > 0 and member(s - g) for g in gens):
+            gens.append(s)
+    return gens
+
+
+def _module_least(link, r):
+    """m_r, the least module element congruent to r (mod alpha), for 0 <= r < alpha."""
+    return seifert.ceil_div(-1 - link.n.base[r], link.inv.orbit_order) * link.inv.alpha + r
+
+
+def _scan_symmetry_report(link):
+    """Witnesses by testing membership across [0, f/2]; principality class by class."""
+    f = link.ap.frobenius
+    member = link.in_semigroup
+    witnesses = tuple((ell, f - ell) for ell in range(f // 2 + 1) if member(ell) == member(f - ell))
+    alpha, apery = link.inv.alpha, link.ap.apery
+    minm = min(_module_least(link, r) for r in range(alpha))
+    module_principal = all(
+        _module_least(link, r) == minm + apery[(r - minm) % alpha] for r in range(alpha)
+    )
+    return semigroup.SymmetryReport(symmetric=not witnesses, witnesses=witnesses, module_principal=module_principal)
+
+
+def _scan_level_set_identity(link):
+    gamma, alpha, apery = int(link.inv.gamma), link.inv.alpha, link.ap.apery
+    return all(
+        _module_least(link, r) == min(apery[r], gamma + alpha - apery[(gamma - r) % alpha]) for r in range(alpha)
+    )
+
+
+def _apery_oracle_corpus():
+    rng = seeded_rng(40)
+    for _ in range(300):
+        yield random_seifert(rng, max_alpha=12, alpha_cap=2000, window_cap=6000)
+    for alphas in ((2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 4, 5), (2, 3, 5, 7), (3, 5, 7, 11)):
+        yield ihs_from_alphas(alphas)  # alpha = alpha_1 * (alpha/alpha_1) is never a minimal generator
+    # every three-leg record with alpha_i <= 6 at the least b0: alpha is a generator of many of them
+    legs = [(a, w) for a in range(2, 7) for w in range(1, a) if math.gcd(a, w) == 1]
+    for triple in itertools.combinations_with_replacement(legs, 3):
+        yield SeifertData(math.floor(sum(F(w, a) for a, w in triple)) + 1, triple)
+
+
+def test_apery_quantities_match_the_per_class_scans():
+    alpha_generator = {True: 0, False: 0}
+    seen = 0
+    for sf in _apery_oracle_corpus():
+        link = semigroup.Link(sf)
+        gens = minimal_generators(link)
+        assert gens == _scan_minimal_generators_from_membership(link.in_semigroup, link.ap.frobenius), sf
+        minima = [_module_least(link, r) for r in range(link.inv.alpha)]
+        assert min_module(link) == min(minima)
+        assert frobenius_module_raw(link) == max(minima) - link.inv.alpha
+        if sf.trivial:
+            continue
+        seen += 1
+        alpha_generator[link.inv.alpha in gens] += 1
+        assert symmetry_report(link) == _scan_symmetry_report(link), sf
+        if link.gorenstein:
+            assert gorenstein_symmetry_check(link).passed and _scan_level_set_identity(link), sf
+    assert seen >= 300 and min(alpha_generator.values()) > 0
+
+
+def test_symmetry_report_reads_the_gap_count(monkeypatch):
+    """A symmetric semigroup needs no membership test: 2*gaps == f + 1 decides it."""
+    calls = []
+    in_semigroup = semigroup.Link.in_semigroup
+    monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: calls.append(ell) or in_semigroup(self, ell))
+    rep = symmetry_report(ihs_from_alphas((7, 11, 13)))
+    assert rep.symmetric and rep.witnesses == () and rep.module_principal
+    assert calls == []
+
+
+def test_symmetry_without_a_witness_is_a_verification_failure(sf_asym5, monkeypatch):
+    """A gap count off (f + 1)/2 with a symmetric membership test is a broken Link."""
+    monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: ell > self.ap.frobenius - ell)
+    with pytest.raises(VerificationError, match="no symmetry witness"):
+        symmetry_report(sf_asym5)
+
+
+def test_link_keeps_only_the_table_and_the_apery_set(monkeypatch):
+    """After a full report, no Link attribute other than n.base and ap.apery holds alpha entries."""
+    from seifert_semigroup import cli
+
+    links = []
+    monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
+    cli.full_report({"alphas": [7, 11, 13]})
+    (link,) = links
+    alpha = link.inv.alpha
+
+    def sized(obj, path, depth=0):
+        if isinstance(obj, (list, tuple, dict, set, str, bytes, bytearray)):
+            yield path, len(obj)
+        if depth < 3 and hasattr(obj, "__dict__"):
+            for name, value in vars(obj).items():
+                yield from sized(value, f"{path}.{name}", depth + 1)
+
+    big = sorted(path for path, size in sized(link, "link") if size >= alpha)
+    assert big == ["link.ap.apery", "link.n.base"]
