@@ -21,13 +21,10 @@ its derived invariants (``sf.inv``) and its plumbing graph (``sf.graph``)
 are computed on first use and kept on the record, so every layer reads the
 same ones instead of rebuilding or passing them around.
 
-N is evaluated in two ways.  :func:`quasilinear` is the scalar definition,
-for sampled points.  :func:`quasilinear_values` is the window kernel: it
-yields N over a whole range of ell from C-level ``map``s over scaled ranges,
-since ceil(ell*omega/alpha) = -floor(-ell*omega/alpha) and ell -> -ell*omega
-maps a range onto a range.  It evaluates the defining formula at every
-point, with no quasi-periodicity shortcut, so the brute-force scans built on
-it stay independent of the period table.
+N is evaluated in three ways: :func:`quasilinear` at one point,
+:func:`quasilinear_values` over a window by the defining formula, with no
+quasi-periodicity shortcut, for the brute-force scans, and
+:class:`QuasilinearTable` over one period, tiled from per-leg difference blocks.
 """
 
 from __future__ import annotations
@@ -157,14 +154,22 @@ def quasilinear_values(sf: SeifertData, ells: range):
 class QuasilinearTable:
     """O(1) evaluation of N via N(q*alpha + r) = N(r) + q*o.
 
-    The quasi-periodicity is an exact identity on all of Z because alpha is a
-    common multiple of the alpha_i, so each ceiling shifts by an integer.
+    The identity is exact on all of Z, as alpha is a multiple of every
+    alpha_i.  The period is the prefix sum from N(0) = 0 of N(r+1) - N(r) =
+    b0 + sum_i (floor(-(r+1)w_i/a_i) - floor(-r*w_i/a_i)), whose i-th term has
+    period a_i: one difference block per leg, cycled over the period.  So the
+    table shares no N kernel with the brute route's :func:`quasilinear_values`.
     """
 
     def __init__(self, sf: SeifertData):
         self.alpha = sf.inv.alpha
         self.orbit_order = sf.inv.orbit_order
-        self.base = list(quasilinear_values(sf, range(self.alpha)))
+        steps = itertools.repeat(sf.b0, self.alpha - 1)
+        for a, w in sf.legs:
+            floors = list(map(operator.floordiv, range(0, -w * (a + 1), -w), itertools.repeat(a)))
+            block = list(map(operator.sub, floors[1:], floors))
+            steps = map(operator.add, steps, itertools.islice(itertools.cycle(block), self.alpha - 1))
+        self.base = list(itertools.accumulate(steps, initial=0))
 
     def __call__(self, ell: int) -> int:
         q, r = divmod(ell, self.alpha)

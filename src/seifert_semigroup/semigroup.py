@@ -10,11 +10,11 @@ separate so each can certify the other.
 Every other semigroup and module quantity is read off one :class:`Link` per
 record: one table of N over a period gives the least element of each residue
 class at each level, the Apery set at level 0 and the module minima at -1.
-The generators are sought among the Apery elements, and symmetry follows
-from Selmer's gap count.  Also here: minimal generator computation for any
-membership test, strongly flat recognition, end-vertex projections of
-integral homology sphere semigroups and the Poincare series decomposition
-into polynomial and negative parts.
+The generators are sieved out of the Apery elements, one C-level pass per
+generator, and symmetry follows from Selmer's gap count.  Also here: the
+same sieve for a monoid given by generators, strongly flat recognition,
+end-vertex projections of integral homology sphere semigroups and the
+Poincare series decomposition into polynomial and negative parts.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, cycle, islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import compress, cycle, islice, repeat
+from typing import Iterator, Sequence
 
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
 from .seifert import (
@@ -210,32 +210,31 @@ def gap_count_direct(sf: SeifertData) -> int:
 # Generators
 
 
-def minimal_generators_from_membership(member: Callable[[int], bool], candidates: Iterable[int]) -> list[int]:
-    """Minimal generating set of a numerical semigroup given by membership.
-
-    ``candidates`` ascend and include every minimal generator; (0, f + m]
-    does, with m the multiplicity, since anything larger splits off m.  A
-    member is a generator iff no smaller generator leaves a member as difference.
-    """
-    gens: list[int] = []
-    for s in candidates:
-        if member(s) and not any(member(s - g) for g in gens):
-            gens.append(s)
+def _generators_from_apery(apery: Sequence[int]) -> list[int]:
+    """Minimal generators of S from Ap(S, n), n = len(apery), by the sieve of :func:`minimal_generators`."""
+    n = len(apery)
+    gens, rest = [], [*islice(apery, 1, None), n]  # islice: no transient copy of Ap
+    while rest:
+        g = min(rest)
+        gens.append(g)
+        classes = map(apery.__getitem__, map(operator.mod, map(operator.sub, rest, repeat(g)), repeat(n)))
+        rest = list(compress(rest, map(operator.lt, map(operator.sub, rest, repeat(g)), classes)))
     return gens
 
 
 def minimal_generators(link: Link | SeifertData) -> list[int]:
-    """Minimal generators of the semigroup of a Seifert link, from Apery candidates.
+    """Minimal generators of the semigroup of a Seifert link, sieved out of the Apery set.
 
-    Every minimal generator other than alpha is a nonzero Apery element, and
-    none exceeds f + m; the multiplicity m is the least of all those candidates.
+    Every minimal generator but alpha is a nonzero Apery element.  Of those
+    candidates and alpha, the least remaining g is a generator, and one pass
+    of C-level ``map``s, recomputing c - g lazily, drops every remaining c
+    with c - g in S, i.e. c - g >= Ap[(c - g) mod alpha] (g drops itself, and
+    m drops all above f + m).  This is right: no pass drops a minimal
+    generator, as its difference with a smaller one is not in S; and a
+    non-minimal c is g + s with g < c a minimal generator and s in S, so the
+    pass of g, which comes before c's turn, drops c.
     """
-    link = as_link(link)
-    apery, alpha = link.ap.apery, link.inv.alpha
-    m = min(chain(filter(None, apery), (alpha,)))
-    window = range(1, max(link.ap.frobenius, 0) + m + 1)
-    candidates = sorted(filter(window.__contains__, chain(apery, (alpha,))))
-    return minimal_generators_from_membership(link.in_semigroup, candidates)
+    return _generators_from_apery(as_link(link).ap.apery)
 
 
 def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:
@@ -272,9 +271,14 @@ def frobenius_of_generators(gens: Sequence[int]) -> int:
 
 
 def minimal_generators_of_monoid(gens: Sequence[int]) -> list[int]:
-    """Minimal generating set of the monoid generated by ``gens``."""
+    """Minimal generating set of the monoid S generated by ``gens``.
+
+    The sieve of :func:`minimal_generators` on Ap(S, m), m = min(gens), read
+    off the table of S on [0, f + m], where (f, f + m] meets every class mod m.
+    """
     top = max(frobenius_of_generators(gens), 0) + min(gens)
-    return minimal_generators_from_membership(monoid_sieve(gens, top).__getitem__, range(1, top + 1))
+    m, table = min(gens), monoid_sieve(gens, top)
+    return _generators_from_apery([next(compress(range(r, top + 1, m), table[r::m])) for r in range(m)])
 
 
 def ihs_generators(alphas: Sequence[int]) -> list[int]:

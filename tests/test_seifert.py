@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seifert_semigroup import (
     SeifertData,
@@ -21,16 +21,19 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
+from seifert_semigroup import seifert
 from seifert_semigroup.seifert import (
+    QuasilinearTable,
     floor_frac,
     from_congruence,
     from_graph,
     geometric_genus,
     quasilinear_values,
 )
+from seifert_semigroup.semigroup import frobenius_bruteforce
 from seifert_semigroup.verification import random_seifert
 
-from conftest import seeded_rng
+from conftest import count_calls, seeded_rng
 
 
 def test_invariants_golden(sf_base4, sf_asym5, sf_gor7):
@@ -246,3 +249,42 @@ def test_window_kernel_matches_scalar_definition(sf, start, length, step):
     negative starts, and empty ranges (length <= 0 runs against the step)."""
     ells = range(start, start + length * step, step)
     assert list(quasilinear_values(sf, ells)) == [quasilinear(sf, ell) for ell in ells]
+
+
+@st.composite
+def table_data(draw):
+    """3-5 normalized legs with alpha_i <= 12, maybe a repeated leg and a leg
+    with alpha_i = alpha; b0 from its least value up to d + 1 above it, so
+    trivial records (b0 >= d) are drawn too."""
+    legs = []
+    for a in draw(st.lists(st.integers(2, 12), min_size=3, max_size=5)):
+        legs.append((a, draw(st.integers(1, a - 1).filter(lambda w, a=a: math.gcd(a, w) == 1))))
+    if draw(st.booleans()):
+        legs.append(legs[0])
+    if draw(st.booleans()):
+        alpha = math.lcm(*(a for a, _ in legs))
+        legs.append((alpha, draw(st.integers(1, alpha - 1).filter(lambda w: math.gcd(alpha, w) == 1))))
+    b0 = floor_frac(sum(F(w, a) for a, w in legs)) + 1 + draw(st.integers(0, len(legs) + 1))
+    return SeifertData(b0, tuple(legs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_data())
+@example(SeifertData(2, ((2, 1), (3, 1), (5, 4))))  # orbit order 11
+@example(SeifertData(4, ((2, 1), (3, 2), (5, 4))))  # trivial: b0 >= d
+@example(SeifertData(2, ((3, 1), (3, 1), (3, 2), (4, 1))))  # repeated leg
+@example(SeifertData(2, ((2, 1), (3, 1), (6, 1), (6, 5))))  # legs with alpha_i = alpha
+def test_tiled_table_matches_window_kernel(sf):
+    """The table tiled from per-leg difference blocks is N over one period."""
+    table = QuasilinearTable(sf)
+    assert table.base == list(quasilinear_values(sf, range(sf.inv.alpha)))
+    assert table(sf.inv.alpha) == sf.inv.orbit_order
+
+
+def test_table_and_brute_scan_share_no_kernel(sf_asym5, monkeypatch):
+    """The period table never calls the window kernel; the brute scan does."""
+    calls = count_calls(monkeypatch, seifert.quasilinear_values)
+    QuasilinearTable(sf_asym5)
+    assert calls == []
+    frobenius_bruteforce(sf_asym5)
+    assert len(calls) >= 1

@@ -447,3 +447,39 @@ def test_link_keeps_only_the_table_and_the_apery_set(monkeypatch):
 
     big = sorted(path for path, size in sized(link, "link") if size >= alpha)
     assert big == ["link.ap.apery", "link.n.base"]
+
+
+def test_minimal_generators_make_no_membership_calls(monkeypatch):
+    """The Apery sieve reads the Apery set in C-level passes, never Link.in_semigroup."""
+    calls = []
+    in_semigroup = semigroup.Link.in_semigroup
+    monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: calls.append(ell) or in_semigroup(self, ell))
+    assert minimal_generators(ihs_from_alphas((7, 11, 13))) == [77, 91, 143]
+    assert calls == []
+
+
+def _minimal_generators_from_membership(member, candidates):
+    """Minimal generating set of a numerical semigroup given by membership.
+
+    ``candidates`` ascend and include every minimal generator; (0, f + m]
+    does, with m the multiplicity, since anything larger splits off m.  A
+    member is a generator iff no smaller generator leaves a member as difference.
+    """
+    gens: list[int] = []
+    for s in candidates:
+        if member(s) and not any(member(s - g) for g in gens):
+            gens.append(s)
+    return gens
+
+
+def test_monoid_sieve_matches_the_membership_loop():
+    rng = seeded_rng(41)
+    checked = 0
+    while checked < 320:
+        gens = [rng.randint(1, 14) for _ in range(rng.randint(1, 4))]
+        if math.gcd(*gens) != 1:
+            continue
+        checked += 1
+        top = max(frobenius_of_generators(gens), 0) + min(gens)
+        expected = _minimal_generators_from_membership(monoid_sieve(gens, top).__getitem__, range(1, top + 1))
+        assert minimal_generators_of_monoid(gens) == expected, gens
