@@ -43,7 +43,6 @@ from .laufer import (
 from .seifert import (
     SeifertData,
     SeifertInvariants,
-    from_graph,
     geometric_genus,
     ihs_from_alphas,
     invariants,

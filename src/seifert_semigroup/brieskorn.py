@@ -20,7 +20,8 @@ q_i = lcm(a)/a_i of each slot, omega_i * q_i = -1 (mod alpha_i), and b0 gives
 the orbit order, one in case (i) and two in case (ii).  Both cases are one
 call of :func:`seifert.from_congruence`; nothing is searched and no table of
 N is built.  :func:`check_generators` compares the generator list with the
-semigroup of the record's period table, where one is built anyway.
+minimal generators of the record's semigroup, where its period table is
+built anyway.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .semigroup import monoid_sieve
+from .semigroup import minimal_generators
 from .seifert import SeifertData, from_congruence, shared_factor_pair
 
 CASE_I = "case_i"
@@ -148,13 +149,13 @@ def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
 
 
 def check_generators(link, gens: list[int]) -> None:
-    """Check that the monoid of ``gens`` is the semigroup of ``link`` (a :class:`semigroup.Link`).
+    """Check that ``gens`` generate the semigroup S of ``link`` (a :class:`semigroup.Link`).
 
-    Membership is compared on [0, f + 2*alpha], f the Frobenius number of
-    the semigroup; a mismatch raises VerificationError.
+    They do iff each lies in S and every minimal generator of S, being no sum
+    of two nonzero elements of S, is listed; a mismatch raises VerificationError.
     """
-    hi = max(link.ap.frobenius, 0) + 2 * link.inv.alpha
-    table = monoid_sieve(gens, hi)
-    bad = next((ell for ell in range(hi + 1) if bool(table[ell]) != link.in_semigroup(ell)), None)
+    bad = next((g for g in gens if not link.in_semigroup(g)), None)
+    if bad is None:
+        bad = next((g for g in minimal_generators(link) if g not in gens), None)
     if bad is not None:
         raise VerificationError(f"the generators {gens} and the semigroup of {link.sf} disagree at {bad}")

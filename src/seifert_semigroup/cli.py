@@ -33,7 +33,6 @@ from .seifert import (
     ceil_frac,
     ihs_from_alphas,
     is_numerically_gorenstein,
-    is_rational_link,
 )
 from .semigroup import (
     Link,
@@ -168,7 +167,8 @@ def cmd_info(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
     out = _start(record)
-    out["invariants"] = invariants_block(sf.inv, is_numerically_gorenstein(sf), is_rational_link(sf))
+    rational = laufer.frobenius_module_raw(sf.graph) < 0
+    out["invariants"] = invariants_block(sf.inv, is_numerically_gorenstein(sf), rational)
     out["zk"] = fmt_cycle(canonical_cycle(sf.graph))
     _emit(out)
     return EXIT_OK
@@ -188,28 +188,21 @@ def cmd_frobenius(args) -> int:
     record = parse_record(_read_record(args.record))
     sf = record_seifert(record)
     out = _start(record)
-    semi: dict = {"trivial": sf.trivial}
-    if sf.trivial:
-        semi["frobenius"] = -1
-    else:
+    out["method"] = args.method
+    semi = out["semigroup"] = {"trivial": sf.trivial, "frobenius": -1}
+    if not sf.trivial:
         semi["frobenius"] = _by_method(
             args.method, lambda: frobenius_by_formula(sf), lambda: frobenius_bruteforce(sf)
         )
-    # each route raises RationalLinkError on a rational link, so the first
-    # route to run decides rationality
-    try:
-        frobenius = _by_method(
-            args.method,
-            lambda: laufer.frobenius_module(sf.graph),
-            lambda: frobenius_bruteforce(sf, "module"),
-            "module ",
-        )
-        module = {"rational": False, "frobenius": frobenius}
-    except RationalLinkError:
-        module = {"rational": True, "frobenius": None}
-    out["method"] = args.method
-    out["semigroup"] = semi
-    out["module"] = module
+    # each module route decides rationality on its own, so "both" compares that too
+    frobenius = _by_method(
+        args.method,
+        lambda: verification.rational_or(laufer.frobenius_module, sf.graph),
+        lambda: verification.rational_or(frobenius_bruteforce, sf, "module"),
+        "module ",
+    )
+    rational = frobenius == "rational"
+    out["module"] = {"rational": rational, "frobenius": None if rational else frobenius}
     _emit(out)
     return EXIT_OK
 

@@ -18,7 +18,8 @@ Two flavours are used:
   from a rational cycle (:func:`ladder`).
 
 From these one reads off the scalars delta, Delta, s and s-check, the dual
-weight sequence, and the Frobenius number of the module of the link.
+weight sequence, and gamma - s, the module's Frobenius number when positive;
+its sign decides whether the link is rational, so this route never scans N.
 
 By default vertices are added in bulk: adding k*E_v with k = ceil of the
 pairing over -euler(v) is the same as k consecutive valid single additions,
@@ -70,7 +71,7 @@ from .lattice import (
     vertex_pairings,
     zero_cycle,
 )
-from .seifert import from_graph, is_rational_link, quasilinear_values
+from .seifert import SeifertData, quasilinear_values
 
 DEFAULT_STEP_BUDGET = 10**7
 
@@ -303,18 +304,13 @@ def scalars(g: StarGraph) -> LauferScalars:
     )
 
 
-def frobenius_module(g: StarGraph) -> int:
-    """Frobenius number of the module of the link, by the lattice formula.
+def frobenius_module_raw(g: StarGraph) -> int:
+    """gamma - s, the largest integer outside the module of the link, by the lattice formula.
 
-    Computed as gamma - s, cross-checked against Delta - delta - 1 and
-    against the central coefficient of Z_K - s_[Z_K] minus one.  Raises
-    :class:`RationalLinkError` on rational links, where the module contains
-    every nonnegative integer.
+    Cross-checked against Delta - delta - 1 and the central coefficient of
+    Z_K - s_[Z_K] minus one.  Negative exactly on rational links, and never
+    0, as N(0) = 0 puts 0 in the module: its sign decides rationality.
     """
-    if is_rational_link(from_graph(g)):
-        raise RationalLinkError(
-            "rational link: the module contains all of Z_{>=0}, no positive Frobenius number"
-        )
     sc = g.scalars
     zk = canonical_cycle(g)
     gamma = zk[0] - 1
@@ -322,9 +318,18 @@ def frobenius_module(g: StarGraph) -> int:
     if len(candidates) != 1:
         raise VerificationError(f"module Frobenius expressions disagree: {sorted(candidates)}")
     value = candidates.pop()
-    if value.denominator != 1 or value < 1:
-        raise VerificationError(f"module Frobenius number {value} is not a positive integer")
+    if value.denominator != 1 or value == 0:
+        raise VerificationError(f"module Frobenius number {value} is not a nonzero integer")
     return int(value)
+
+
+def frobenius_module(g: StarGraph) -> int:
+    """Frobenius number of the module of the link: :func:`frobenius_module_raw`,
+    which is negative on rational links, where this raises :class:`RationalLinkError`."""
+    value = frobenius_module_raw(g)
+    if value < 0:
+        raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -335,7 +340,7 @@ class DualityReport:
     failures: tuple[str, ...]
 
 
-def dual_check(g: StarGraph, *, step_budget: int | None = None) -> DualityReport:
+def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> DualityReport:
     """Verify the duality between the ladders of the trivial class and of [Z_K].
 
     Checks, over 0 <= l <= Delta: chi(x*(l)) = chi(x(Delta - l)); over
@@ -344,9 +349,9 @@ def dual_check(g: StarGraph, *, step_budget: int | None = None) -> DualityReport
     x*-ladder is delta = m_0(s_[Z_K] - r_[Z_K]), that x*(delta) = s_[Z_K],
     and the sign pattern of (x*(l), E_0) across the ladder.  chi, N* and
     anti-nefness are read off the ladder walker; only x*(delta) is built as
-    a cycle.
+    a cycle.  The ladders run on ``sf.graph``.
     """
-    sf = from_graph(g)
+    g = sf.graph
     sc = g.scalars
     delta, big_delta = sc.delta, sc.big_delta
     failures = []

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 from .errors import VerificationError
-from .lattice import StarGraph, build_graph, cf_value
+from .lattice import StarGraph, build_graph
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -252,12 +252,3 @@ def is_rational_link(sf: SeifertData) -> bool:
     ``frobenius_bruteforce(sf, "module")`` decides the same on its own scan.
     """
     return geometric_genus(sf) == 0
-
-
-def from_graph(g: StarGraph) -> SeifertData:
-    """Read the normalized Seifert invariants back off a star-shaped graph."""
-    legs = []
-    for leg in g.legs:
-        frac = cf_value([-g.euler[v] for v in leg])
-        legs.append((frac.numerator, frac.denominator))
-    return SeifertData(-g.euler[0], tuple(legs))

@@ -48,6 +48,14 @@ class CheckResult:
     detail: str = ""
 
 
+def rational_or(route, *args):
+    """``route(*args)``, or "rational" where that module Frobenius route raises RationalLinkError."""
+    try:
+        return route(*args)
+    except RationalLinkError:
+        return "rational"
+
+
 def random_seifert(
     rng: random.Random,
     max_legs: int = 5,
@@ -200,20 +208,17 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
     del link, ap  # free the table before the augmentation checks, which need memory of their own
-    try:  # the brute module scan decides rationality
-        fm_brute = frobenius_bruteforce(sf, "module")
-    except RationalLinkError:
-        pass
-    else:
-        fm_formula = route("module_frobenius_agreement", laufer.frobenius_module, g)
-        if fm_formula is not None:
-            check("module_frobenius_agreement", fm_formula == fm_brute,
-                  f"module formula {fm_formula} != brute {fm_brute}")
+    # both module routes decide rationality, so they are compared on every record
+    fm_formula = route("module_frobenius_agreement", rational_or, laufer.frobenius_module, g)
+    if fm_formula is not None:
+        fm_brute = rational_or(frobenius_bruteforce, sf, "module")
+        check("module_frobenius_agreement", fm_formula == fm_brute,
+              f"module formula {fm_formula} != brute {fm_brute}")
 
     # ladder duality, when the ladder is short enough to walk
     big_delta = zk[0] - r_of_class(class_rep(zk))[0]
     if big_delta <= 400:
-        rep = route("ladder_duality", laufer.dual_check, g)
+        rep = route("ladder_duality", laufer.dual_check, sf)
         if rep is not None:
             check("ladder_duality", rep.passed, "; ".join(rep.failures))
 

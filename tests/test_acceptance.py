@@ -216,14 +216,13 @@ def test_criterion_7_laufer_property_suite():
                         assert chi(g, candidate) >= chi(g, series.cycles[l[0]])
 
     # ladder duality on every test graph
-    graphs = [build_graph(sf) for sf in small + [SF_GOR7]]
-    while len(graphs) < 10:
+    records = small + [SF_GOR7]
+    while len(records) < 10:
         sf = random_seifert(rng, max_legs=4, max_alpha=9, alpha_cap=600, window_cap=4000)
-        g = build_graph(sf)
-        if canonical_cycle(g)[0] <= 60:
-            graphs.append(g)
-    for g in graphs:
-        report = dual_check(g)
+        if canonical_cycle(sf.graph)[0] <= 60:
+            records.append(sf)
+    for sf in records:
+        report = dual_check(sf)
         assert report.passed, report.failures
     elapsed = time.time() - started
     print(f"PASS criterion 7: tie-breaks, box minimality and ladder duality exact ({elapsed:.1f}s)")

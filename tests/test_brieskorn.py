@@ -223,6 +223,17 @@ def test_check_generators_rejects_a_wrong_list():
         check_generators(link, [15, 21, 37])
 
 
+def test_check_generators_accepts_a_non_minimal_list():
+    """(2, 6, 10) lists 15 = 3*5 next to the minimal generators 3 and 5; a
+    list without a minimal generator is still rejected."""
+    cls = classify((2, 6, 10))
+    link = Link(bh_seifert(cls))
+    assert bh_generators(cls) == [3, 5, 15]
+    check_generators(link, [3, 5, 15])
+    with pytest.raises(VerificationError, match="disagree at 5"):
+        check_generators(link, [3, 15])
+
+
 def test_full_report_builds_one_table(monkeypatch):
     built = []
     init = QuasilinearTable.__init__

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import random
@@ -9,7 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from seifert_semigroup import SeifertData, VerificationError, lattice, laufer, seifert, verification
+from seifert_semigroup import (
+    RationalLinkError,
+    SeifertData,
+    VerificationError,
+    frobenius_bruteforce,
+    lattice,
+    laufer,
+    seifert,
+    verification,
+)
 from seifert_semigroup.cli import main
 
 from conftest import count_calls
@@ -148,18 +158,18 @@ def test_frobenius_both_solves_twice_on_a_gorenstein_record(monkeypatch, capsys)
 
 
 def test_frobenius_both_decides_rationality_once(monkeypatch, capsys):
-    """The formula route computes p_g; the brute module scan is its own
-    rationality test, so p_g is not computed a second time."""
+    """Each module route is its own rationality test: the formula route by the
+    sign of gamma - s, the brute route by its scan, so p_g is never computed."""
     calls = count_calls(monkeypatch, seifert.geometric_genus)
     code, out = run_cli(capsys, "frobenius", SEC5, "--method", "both")
     assert code == 0 and json.loads(out)["module"] == {"rational": False, "frobenius": 2}
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
     """Every route of verify_seifert reads the invariants and the plumbing
-    graph kept on the record; other calls are for augmented data or data
-    read back off a graph, which are other objects."""
+    graph kept on the record; other calls are for augmented data, which are
+    other objects."""
     sf = SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1)))
     inv_calls = count_calls(monkeypatch, seifert.invariants)
     graph_calls = count_calls(monkeypatch, lattice.build_graph)
@@ -170,20 +180,89 @@ def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
     assert sum(args[0] is sf for args in graph_calls) == 1
 
 
+def _rational(*args):
+    raise RationalLinkError("rational link")
+
+
+def _brute_calls_the_module_rational(sf, kind="semigroup"):
+    return _rational() if kind == "module" else frobenius_bruteforce(sf, kind)
+
+
 @pytest.mark.parametrize(
-    "module, route, message",
+    "module, route, replacement, message",
     [
-        ("seifert_semigroup.cli", "frobenius_by_formula", "formula 99 != brute 3"),
-        ("seifert_semigroup.laufer", "frobenius_module", "module formula 99 != brute 2"),
+        ("seifert_semigroup.cli", "frobenius_by_formula", lambda *args: 99, "formula 99 != brute 3"),
+        ("seifert_semigroup.laufer", "frobenius_module", lambda *args: 99, "module formula 99 != brute 2"),
+        # each module route decides rationality on its own, and `both` compares the verdicts
+        ("seifert_semigroup.laufer", "frobenius_module", _rational, "module formula rational != brute 2"),
+        ("seifert_semigroup.cli", "frobenius_bruteforce", _brute_calls_the_module_rational,
+         "module formula 2 != brute rational"),
     ],
-    ids=["semigroup", "module"],
+    ids=["semigroup", "module", "formula-rational", "brute-rational"],
 )
-def test_frobenius_both_disagreement_exits_2(module, route, message, monkeypatch, capsys):
-    monkeypatch.setattr(f"{module}.{route}", lambda *args: 99)
+def test_frobenius_both_disagreement_exits_2(module, route, replacement, message, monkeypatch, capsys):
+    monkeypatch.setattr(f"{module}.{route}", replacement)
     code = main(["frobenius", SEC5, "--method", "both"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"verification failure: {message}\n"
+
+
+def test_verify_reports_a_rationality_disagreement(monkeypatch, capsys):
+    """A formula route that calls SEC5 rational fails the module checks as
+    FAIL lines; the module routes are compared on rational records too."""
+    monkeypatch.setattr(laufer, "frobenius_module", _rational)
+    code, out = run_cli(capsys, "verify", SEC5)
+    assert code == 2
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails[0] == "FAIL module_frobenius_agreement  (module formula rational != brute 2)"
+    assert fails[1].startswith("FAIL augmented_module_stabilises  (augmented graph is rational at n = ")
+    assert len(fails) == 2
+    monkeypatch.undo()
+    code, out = run_cli(capsys, "verify", '{"alphas":[2,3,5]}')
+    assert code == 0 and "ok   module_frobenius_agreement" in out.splitlines()
+
+
+RECORDS = [SEC5, '{"alphas":[2,3,5]}', '{"seifert":{"b0":4,"legs":[[2,1],[3,2],[5,4]]}}', '{"bh":[6,10,14]}']
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=["sec5", "rational", "trivial", "bh"])
+def test_formula_and_brute_routes_are_independent(record, monkeypatch, capsys):
+    """The lattice commands never evaluate N, and the brute route never runs
+    a Laufer computation."""
+    n_calls = [count_calls(monkeypatch, fn)
+               for fn in (seifert.quasilinear_values, seifert.QuasilinearTable, seifert.quasilinear)]
+    laufer_calls = [count_calls(monkeypatch, fn) for _, fn in inspect.getmembers(laufer, inspect.isfunction)
+                    if fn.__module__ == laufer.__name__]
+    for argv in (["frobenius", record, "--method", "formula"], ["info", record],
+                 ["laufer", record], ["laufer", record, "--class", "zero", "--trace"]):
+        assert main(argv) == 0, argv
+    assert [len(calls) for calls in n_calls] == [0, 0, 0]
+    assert sum(map(len, laufer_calls)) > 0
+    for calls in laufer_calls:
+        calls.clear()
+    assert main(["frobenius", record, "--method", "brute"]) == 0
+    assert sum(map(len, laufer_calls)) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["info"], ["frobenius", "--method", "formula"]], ids=["info", "formula"])
+def test_lattice_commands_answer_at_alpha_1e12(command):
+    """alpha = 1009*1013*1019*1021 is about 1.06e12: the lattice routes take
+    milliseconds on the 59-vertex graph, and nothing scans N."""
+    record = '{"alphas":[1009,1013,1019,1021]}'
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", command[0], record, *command[1:]],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    if command[0] == "info":
+        assert data["invariants"]["alpha"] == 1009 * 1013 * 1019 * 1021
+        assert data["invariants"]["rational"] is False
+    else:
+        assert data["module"]["rational"] is False
 
 
 def test_bad_record_is_input_error(capsys):

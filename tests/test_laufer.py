@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from seifert_semigroup import (
+    Link,
     RationalLinkError,
+    SeifertData,
     VerificationError,
     build_graph,
     canonical_cycle,
@@ -16,6 +19,8 @@ from seifert_semigroup import (
     dual_check,
     dual_cycle,
     frobenius_module,
+    geometric_genus,
+    ihs_from_alphas,
     invariants,
     is_antinef,
     quasilinear,
@@ -26,7 +31,7 @@ from seifert_semigroup import (
     x_series,
     zero_cycle,
 )
-from seifert_semigroup.laufer import XSeries, _Sequence, ladder
+from seifert_semigroup.laufer import XSeries, _Sequence, frobenius_module_raw, ladder
 from seifert_semigroup.lattice import (
     ClassRep,
     RationalCycle,
@@ -92,6 +97,37 @@ def test_frobenius_module_golden(sf_star70, sf_237, sf_gor7, sf_e8):
     assert frobenius_module(build_graph(sf_gor7)) == 85
     with pytest.raises(RationalLinkError):
         frobenius_module(build_graph(sf_e8))
+
+
+@st.composite
+def seifert_data(draw):
+    """3-6 legs with alpha_i <= 14; b0 is the least value making e negative,
+    or one or two above it, which draws trivial and rational links too."""
+    legs = []
+    for _ in range(draw(st.integers(3, 6))):
+        a = draw(st.integers(2, 14))
+        legs.append((a, draw(st.sampled_from([w for w in range(1, a) if math.gcd(w, a) == 1]))))
+    total = sum(F(w, a) for a, w in legs)
+    return SeifertData(math.floor(total) + 1 + draw(st.integers(0, 2)), tuple(legs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seifert_data())
+@example(ihs_from_alphas((2, 3, 5)))
+@example(ihs_from_alphas((2, 3, 7)))
+@example(SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1))))
+@example(SeifertData(4, ((2, 1), (3, 2), (5, 4))))
+def test_lattice_module_value_decides_rationality(sf):
+    """gamma - s is the largest integer outside the module, read off the
+    period table, and it is negative exactly when p_g = 0."""
+    value = frobenius_module_raw(sf.graph)
+    assert value == Link(sf).module_frobenius_raw
+    assert (value < 0) == (geometric_genus(sf) == 0)
+    if value < 0:
+        with pytest.raises(RationalLinkError):
+            frobenius_module(sf.graph)
+    else:
+        assert frobenius_module(sf.graph) == value
 
 
 def test_tie_break_invariance_many():
@@ -212,7 +248,7 @@ def test_trivial_class_ladder_is_quasilinear(sf_237, sf_base4, sf_e8):
 
 def test_dual_check_on_goldens(sf_star70, sf_asym5, sf_gor7, sf_237):
     for sf in (sf_star70, sf_asym5, sf_gor7, sf_237):
-        report = dual_check(build_graph(sf))
+        report = dual_check(sf)
         assert report.passed, report.failures
         assert report.big_delta >= report.delta
 

@@ -26,7 +26,6 @@ from seifert_semigroup.seifert import (
     QuasilinearTable,
     floor_frac,
     from_congruence,
-    from_graph,
     geometric_genus,
     quasilinear_values,
 )
@@ -209,13 +208,6 @@ def test_rationality(sf_e8, sf_237, sf_star70):
     assert not is_rational_link(sf_237)
     assert geometric_genus(sf_237) == 1  # only N(1) = -2 contributes
     assert not is_rational_link(sf_star70)
-
-
-def test_from_graph_roundtrip():
-    rng = seeded_rng(13)
-    for _ in range(20):
-        sf = random_seifert(rng, max_alpha=15, alpha_cap=10**6, window_cap=10**9)
-        assert from_graph(build_graph(sf)) == sf
 
 
 @settings(max_examples=60)
