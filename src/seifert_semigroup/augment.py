@@ -27,7 +27,7 @@ from itertools import compress, repeat
 
 from . import laufer
 from .errors import RationalLinkError
-from .lattice import RationalCycle, canonical_cycle, dual_basis, pairing_with_vertex, unit_cycle
+from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
 from .seifert import SeifertData, ceil_frac, quasilinear_values
 from .semigroup import frobenius_bruteforce
 
@@ -54,20 +54,13 @@ class AugmentedPair:
 
     def include(self, l: RationalCycle) -> RationalCycle:
         """j: extend a base cycle by a zero coefficient on the new vertex."""
-        return RationalCycle(l.coeffs + (Fraction(0),))
+        return RationalCycle(l.num + (0,), l.den)
 
     def project(self, lp: RationalCycle) -> RationalCycle:
         """j*: decompose in the augmented dual basis, drop E_+, map duals back."""
         g = self.base.graph
-        gn = self.augmented.graph
-        duals = dual_basis(g)
-        coeffs = [Fraction(0)] * g.n
-        for v in range(g.n):
-            weight = -pairing_with_vertex(gn, lp, v)
-            if weight:
-                for u in range(g.n):
-                    coeffs[u] += weight * duals[v][u]
-        return RationalCycle(tuple(coeffs))
+        weights = vertex_pairings(self.augmented.graph, lp.num)  # lp.den * (lp, E_v); map drops E_+
+        return sum(map(operator.mul, weights, dual_basis(g)), zero_cycle(g.n)) * Fraction(-1, lp.den)
 
 
 def augment(sf: SeifertData, n: int) -> AugmentedPair:

@@ -6,17 +6,20 @@ decoration -b0 together with d legs; leg i is the chain of decorations
 fraction expansion of alpha_i/omega_i.  The vertices span the lattice L with
 the symmetric intersection form I (diagonal = decorations, 1 on edges).
 
-Systems I x = rhs are solved by eliminating each leg from its leaf toward the
-centre: on a tree this creates no fill-in, so a solve costs O(n) (Neumann, "A
-calculus for plumbing", 1981).  A leg vertex's pivot is minus the continued
-fraction of the leg from it out to the leaf, so < -1, and the centre's pivot
-is the orbifold Euler number e; I is negative definite exactly when e < 0.
+Systems I x = rhs with integer rhs are solved fraction-free by eliminating
+each leg from its leaf toward the centre (Neumann, "A calculus for
+plumbing", 1981): no fill-in on a tree, so a solve costs O(n).  It needs
+only integers kept on the graph: the leg tail determinants (det(-I) on a
+leg from one vertex out to the leaf) and D = det(-I) = |e| * prod alpha_i =
+|H|.  I is negative definite exactly when D > 0, that is e < 0.
 
-Everything here is computed over exact rationals: the dual cycles E_v^*
-(characterised by (E_v^*, E_w) = -delta_{vw}), the canonical cycle Z_K
-(solving the adjunction equations), the Riemann-Roch function chi, class
-representatives in the half-open unit cube, and the anti-nef (Lipman cone)
-predicate.  No floating point is used anywhere.
+Every cycle here lies in L' = I^{-1} L, so its denominators divide D
+(Eisenbud-Neumann, 1985).  A :class:`RationalCycle` is integer numerators
+over one positive denominator, and on that form, in integer arithmetic,
+live the dual cycles E_v^* ((E_v^*, E_w) = -delta_{vw}), the canonical
+cycle Z_K (solving the adjunction equations), the Riemann-Roch function
+chi, class representatives in the half-open unit cube and the anti-nef
+(Lipman cone) predicate.  No floating point is used anywhere.
 
 Vertex indexing is deterministic: the central vertex is 0, then the legs in
 input order, each leg from the centre outward.
@@ -57,14 +60,6 @@ def hirzebruch_cf(alpha: int, omega: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-def cf_value(chain: Sequence[int]) -> Fraction:
-    """Value of the negative continued fraction [b_1, ..., b_k]."""
-    value = Fraction(chain[-1])
-    for b in reversed(chain[:-1]):
-        value = b - 1 / value
-    return value
-
-
 @dataclass(frozen=True)
 class StarGraph:
     """Star-shaped plumbing tree with negative Euler decorations.
@@ -72,9 +67,9 @@ class StarGraph:
     ``euler[v]`` is the decoration of vertex v (all negative); ``legs`` holds
     the vertex ids of each leg, ordered from the centre outward.  The centre
     is always vertex 0.  A graph with e >= 0 can be built, but solving on it
-    raises ArithmeticError.  What the graph alone determines (adjacency,
-    elimination pivots, Z_K, E_0^*, the Laufer scalars) is computed on first
-    use and kept on the graph.
+    raises ArithmeticError.  What the graph alone determines (adjacency, the
+    leg tail determinants, D = det(-I), Z_K, E_0^*, the Laufer scalars) is
+    computed on first use and kept on the graph.
     """
 
     euler: tuple[int, ...]
@@ -119,15 +114,24 @@ class StarGraph:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def pivots(self) -> tuple[Fraction, ...]:
-        """Elimination pivots by vertex: a leg vertex's is its decoration minus
-        the reciprocal of the next pivot toward the leaf; the centre's is e."""
-        p = [orbifold_euler_number(self)] * self.n
+    def tails(self) -> tuple[tuple[int, ...], ...]:
+        """Per leg of k vertices, (T_1, ..., T_k, T_{k+1} = 1): T_j is det(-I) on
+        the leg from its j-th vertex out to the leaf, T_j = b_j*T_{j+1} - T_{j+2}
+        with T_{k+2} = 0, so T_1 = alpha_i and T_2 = omega_i."""
+        out = []
         for leg in self.legs:
-            pivot = None
+            t = [0, 1]
             for v in reversed(leg):
-                pivot = p[v] = Fraction(self.euler[v]) if pivot is None else self.euler[v] - 1 / pivot
-        return tuple(p)
+                t.append(-self.euler[v] * t[-1] - t[-2])
+            out.append(tuple(reversed(t[1:])))
+        return tuple(out)
+
+    @cached_property
+    def det(self) -> int:
+        """D = det(-I) = b0*P - sum_i T_2^i*P/T_1^i with P = prod_i T_1^i, so
+        D = -e*P = |H|; the intersection form is negative definite iff D > 0."""
+        p = math.prod(t[0] for t in self.tails)
+        return -self.euler[0] * p - sum(t[1] * (p // t[0]) for t in self.tails)
 
     @cached_property
     def zk(self) -> RationalCycle:
@@ -171,12 +175,8 @@ def intersection_matrix(g: StarGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def orbifold_euler_number(g: StarGraph) -> Fraction:
-    """e = -b0 + sum_i omega_i/alpha_i, read off from the leg chains."""
-    e = Fraction(g.euler[0])
-    for leg in g.legs:
-        frac = cf_value([-g.euler[v] for v in leg])
-        e += 1 / frac
-    return e
+    """e = -b0 + sum_i omega_i/alpha_i = -D/prod_i alpha_i, read off the leg tails."""
+    return Fraction(-g.det, math.prod(t[0] for t in g.tails))
 
 
 # ---------------------------------------------------------------------------
@@ -187,60 +187,86 @@ def orbifold_euler_number(g: StarGraph) -> Fraction:
 class RationalCycle:
     """Exact rational coefficient vector over the vertices of a graph.
 
-    Supports componentwise arithmetic; ``a >= b`` and ``a <= b`` are the
-    componentwise partial order used for minimality statements.
+    Integer numerators ``num`` over one denominator ``den`` > 0 in lowest terms
+    (gcd(den, *num) = 1), so ``den`` is the lcm of the entries' denominators.
+    ``l[v]``, iteration and ``coeffs`` give Fractions.  Arithmetic runs on the
+    integers; ``a >= b`` and ``a <= b`` are the componentwise partial order.
     """
 
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"denominator must be positive, got {self.den}")
+        g = math.gcd(self.den, *self.num)
+        if g != 1:
+            object.__setattr__(self, "num", tuple(a // g for a in self.num))
+            object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     def __getitem__(self, v: int) -> Fraction:
-        return self.coeffs[v]
+        return Fraction(self.num[v], self.den)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.num)
 
     def __iter__(self):
         return iter(self.coeffs)
 
+    def _over(self, other: RationalCycle) -> tuple[int, list[tuple[int, int]]]:
+        """The common denominator of both cycles, and their numerators over it by vertex."""
+        den = math.lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
+        return den, [(a * ka, b * kb) for a, b in zip(self.num, other.num, strict=True)]
+
     def __add__(self, other: RationalCycle) -> RationalCycle:
-        return RationalCycle(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        den, pairs = self._over(other)
+        return RationalCycle(tuple(a + b for a, b in pairs), den)
 
     def __sub__(self, other: RationalCycle) -> RationalCycle:
-        return RationalCycle(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        den, pairs = self._over(other)
+        return RationalCycle(tuple(a - b for a, b in pairs), den)
 
     def __neg__(self) -> RationalCycle:
-        return RationalCycle(tuple(-a for a in self.coeffs))
+        return RationalCycle(tuple(-a for a in self.num), self.den)
 
     def __mul__(self, scalar: Rat) -> RationalCycle:
-        return RationalCycle(tuple(a * scalar for a in self.coeffs))
+        p = scalar.numerator
+        return RationalCycle(tuple(a * p for a in self.num), self.den * scalar.denominator)
 
     __rmul__ = __mul__
 
     def __ge__(self, other: RationalCycle) -> bool:
-        return all(a >= b for a, b in zip(self.coeffs, other.coeffs, strict=True))
+        return all(a >= b for a, b in self._over(other)[1])
 
     def __le__(self, other: RationalCycle) -> bool:
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs, strict=True))
+        return all(a <= b for a, b in self._over(other)[1])
 
     def is_integral(self) -> bool:
-        return all(a.denominator == 1 for a in self.coeffs)
+        return self.den == 1
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(a) for a in self.coeffs) + ")"
 
 
 def cycle(values: Iterable[Rat]) -> RationalCycle:
-    """Build a cycle, coercing entries to exact rationals."""
-    return RationalCycle(tuple(Fraction(v) for v in values))
+    """Build a cycle from exact rational entries."""
+    coeffs = [Fraction(v) for v in values]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return RationalCycle(tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
 
 def zero_cycle(n: int) -> RationalCycle:
-    return RationalCycle((Fraction(0),) * n)
+    return RationalCycle((0,) * n, 1)
 
 
 def unit_cycle(n: int, v: int) -> RationalCycle:
     """The base element E_v."""
-    return RationalCycle(tuple(Fraction(1 if u == v else 0) for u in range(n)))
+    return RationalCycle(tuple(1 if u == v else 0 for u in range(n)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,21 +275,8 @@ def unit_cycle(n: int, v: int) -> RationalCycle:
 
 def pairing_with_vertex(g: StarGraph, l: RationalCycle, v: int) -> Fraction:
     """(l, E_v) = euler(v) * l_v + sum of l over the neighbours of v."""
-    s = g.euler[v] * l[v]
-    for u in g.neighbors(v):
-        s += l[u]
-    return s
-
-
-def numerators(l: RationalCycle, scale: int) -> list[int]:
-    """scale*l as integers; ``scale`` must be a common multiple of the denominators."""
-    return [c.numerator * (scale // c.denominator) for c in l.coeffs]
-
-
-def scaled(l: RationalCycle) -> tuple[int, list[int]]:
-    """(L, L*l) with L the common denominator of the coefficients of l."""
-    scale = math.lcm(*(c.denominator for c in l.coeffs))
-    return scale, numerators(l, scale)
+    a = l.num
+    return Fraction(g.euler[v] * a[v] + sum(a[u] for u in g.neighbors(v)), l.den)
 
 
 def vertex_pairings(g: StarGraph, a: Sequence[int]) -> list[int]:
@@ -275,30 +288,35 @@ def pairing(g: StarGraph, a: RationalCycle, b: RationalCycle) -> Fraction:
     """The symmetric bilinear form (a, b) = a^T I b, exactly."""
     if len(a) != g.n or len(b) != g.n:
         raise ValueError("cycle length does not match graph")
-    return sum((pairing_with_vertex(g, a, v) * b[v] for v in range(g.n)), Fraction(0))
+    return Fraction(sum(map(operator.mul, vertex_pairings(g, a.num), b.num)), a.den * b.den)
 
 
-def _solve(g: StarGraph, rhs: Sequence[Rat]) -> RationalCycle:
-    """The x with I x = rhs.  Each leg is eliminated from its leaf inward as
-    x_v = a_v - x_u/p_v (u the next vertex toward the centre, p_v the pivot of
-    v), which leaves x_0 alone in the centre equation; the legs are then
-    filled in outward."""
-    pivots = g.pivots
-    if pivots[0] >= 0:
-        raise ArithmeticError(f"intersection form is not negative definite (e = {pivots[0]} >= 0)")
-    a = [Fraction(0)] * g.n
-    centre = Fraction(rhs[0])
-    for leg in g.legs:
+def _solve(g: StarGraph, rhs: Sequence[int]) -> RationalCycle:
+    """The x with I x = rhs, for an integer vector rhs, as X = D*x over D = det(-I).
+
+    Going inward along a leg, A_j = A_{j+1} - T_{j+1}*rhs_j (A_{k+1} = 0) gives
+    x_j = (A_j + T_{j+1}*x_u)/T_j, u the next vertex toward the centre.  The
+    centre equation times P = prod_i T_1^i then reads
+    X_0 = sum_i A_1^i*P/T_1^i - rhs_0*P, and the legs are filled in outward by
+    X_j = (D*A_j + T_{j+1}*X_u) / T_j, an exact division as D*x is integral.
+    """
+    det = g.det
+    if det <= 0:
+        raise ArithmeticError(f"intersection form is not negative definite (det(-I) = {det} <= 0)")
+    p = math.prod(t[0] for t in g.tails)
+    a = [0] * g.n
+    centre = -rhs[0] * p
+    for leg, t in zip(g.legs, g.tails):
         outer = 0
-        for v in reversed(leg):
-            outer = a[v] = (rhs[v] - outer) / pivots[v]
-        centre -= outer
-    x = [centre / pivots[0]] * g.n
-    for leg in g.legs:
-        inner = x[0]
-        for v in leg:
-            inner = x[v] = a[v] - inner / pivots[v]
-    return RationalCycle(tuple(x))
+        for j in range(len(leg) - 1, -1, -1):
+            outer = a[leg[j]] = outer - t[j + 1] * rhs[leg[j]]
+        centre += outer * (p // t[0])
+    x = [centre] * g.n
+    for leg, t in zip(g.legs, g.tails):
+        inner = centre
+        for j, v in enumerate(leg):
+            inner = x[v] = (det * a[v] + t[j + 1] * inner) // t[j]
+    return RationalCycle(tuple(x), det)
 
 
 def dual_cycle(g: StarGraph, v: int) -> RationalCycle:
@@ -321,37 +339,25 @@ def canonical_cycle(g: StarGraph) -> RationalCycle:
 
 
 def chi(g: StarGraph, l: RationalCycle) -> Fraction:
-    """Riemann-Roch function chi(l) = (Z_K - l, l)/2.
-
-    Computed on integer numerators: with D the common denominator of Z_K
-    and l, chi(l) = (D*Z_K - D*l, D*l) / (2*D^2).
-    """
-    if len(l) != g.n:
-        raise ValueError("cycle length does not match graph")
-    zk = canonical_cycle(g)
-    scale = math.lcm(*(c.denominator for c in zk.coeffs), *(c.denominator for c in l.coeffs))
-    a = numerators(l, scale)
-    b = list(map(operator.sub, numerators(zk, scale), a))
-    return Fraction(sum(map(operator.mul, vertex_pairings(g, b), a)), 2 * scale * scale)
+    """Riemann-Roch function chi(l) = (Z_K - l, l)/2, paired on the numerators."""
+    rest = canonical_cycle(g) - l
+    return Fraction(sum(map(operator.mul, vertex_pairings(g, rest.num), l.num)), 2 * rest.den * l.den)
 
 
 @dataclass(frozen=True)
 class ClassRep:
-    """The representative of a class of L'/L inside the half-open unit cube.
+    """The representative r_h of a class h of L'/L in the half-open unit cube:
+    the componentwise fractional parts of any cycle of the class."""
 
-    Two cycles define the same class exactly when their componentwise
-    fractional parts agree.
-    """
-
-    fractional: tuple[Fraction, ...]
+    fractional: RationalCycle
 
 
 def class_rep(l: RationalCycle) -> ClassRep:
-    return ClassRep(tuple(a - (a.numerator // a.denominator) for a in l.coeffs))
+    return ClassRep(RationalCycle(tuple(a % l.den for a in l.num), l.den))
 
 
 def r_of_class(c: ClassRep) -> RationalCycle:
-    return RationalCycle(c.fractional)
+    return c.fractional
 
 
 def is_antinef(g: StarGraph, l: RationalCycle, vertices: Iterable[int] | None = None) -> bool:
@@ -359,8 +365,8 @@ def is_antinef(g: StarGraph, l: RationalCycle, vertices: Iterable[int] | None = 
 
     With ``vertices`` = all vertices this is membership in the Lipman cone.
     """
-    vs = range(g.n) if vertices is None else vertices
-    return all(pairing_with_vertex(g, l, v) <= 0 for v in vs)
+    pairings = vertex_pairings(g, l.num)  # den(l) * (l, E_v), of the same sign
+    return all(pairings[v] <= 0 for v in (range(g.n) if vertices is None else vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -436,5 +442,5 @@ def group_order(g: StarGraph) -> int:
 
 
 def is_negative_definite(g: StarGraph) -> bool:
-    """Sylvester's criterion on the elimination pivots; leg pivots are < -1, so it is e < 0."""
-    return g.pivots[0] < 0
+    """D = det(-I) > 0; the leg tails are negative definite, so this is e < 0."""
+    return g.det > 0

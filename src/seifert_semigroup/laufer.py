@@ -30,8 +30,8 @@ sequence.
 
 The loop runs on integers.  Every cycle reached is the start plus an integer
 vector x, so the pairing with E_v is p_v = b_v + q_v, where b_v = (start, E_v)
-is fixed and q_v = (x, E_v) is an integer.  With L the common denominator of
-the start, L*b_v = t_v is an integer computed once, p_v > 0 is
+is fixed and q_v = (x, E_v) is an integer.  With L the denominator of the
+start, L*b_v = t_v is the pairing of its numerators, computed once, p_v > 0 is
 q_v >= floor(-t_v/L) + 1, a threshold fixed per vertex, and the bulk step
 ceil(p_v / -euler(v)) is the integer ceiling of (t_v + L*q_v)/(L*(-euler(v))).
 Adding E_v changes only q_v and the q_u of its neighbours, so the vertices of
@@ -67,7 +67,6 @@ from .lattice import (
     chi,
     class_rep,
     r_of_class,
-    scaled,
     vertex_pairings,
     zero_cycle,
 )
@@ -115,8 +114,8 @@ class _Sequence:
     def __init__(self, g: StarGraph, start: RationalCycle, allowed: Iterable[int]):
         self.g, self.euler, self.adjacency = g, g.euler, g.adjacency
         self.start = start
-        self.scale, a = scaled(start)
-        self.t = vertex_pairings(g, a)
+        self.scale = start.den
+        self.t = vertex_pairings(g, start.num)
         self.thr = [-tv // self.scale + 1 for tv in self.t]
         self.step = [self.scale * -e for e in self.euler]
         self.is_allowed = [False] * g.n
@@ -132,8 +131,9 @@ class _Sequence:
         return chi(self.g, self.start)
 
     def chi(self) -> Fraction:
-        """chi(start + x)."""
-        return self.chi_start + Fraction(self.chi2, 2 * self.scale)
+        """chi(start + x) = chi(start) + chi2/(2L), put over one denominator."""
+        c, scale2 = self.chi_start, 2 * self.scale
+        return Fraction(c.numerator * scale2 + self.chi2 * c.denominator, c.denominator * scale2)
 
     def pairing(self, v: int) -> Fraction:
         """(start + x, E_v)."""
@@ -184,7 +184,8 @@ class _Sequence:
 
 def _shift(start: RationalCycle, x: Iterable[int]) -> RationalCycle:
     """start + x for an integer vector x."""
-    return RationalCycle(tuple(c + dx if dx else c for c, dx in zip(start.coeffs, x)))
+    den = start.den
+    return RationalCycle(tuple(a + den * dx for a, dx in zip(start.num, x)), den)
 
 
 def to_antinef(
@@ -286,17 +287,13 @@ def scalars(g: StarGraph) -> LauferScalars:
     zk = canonical_cycle(g)
     r = r_of_class(class_rep(zk))
     s_cycle, _ = to_antinef(g, r)
-    delta = s_cycle[0] - r[0]
-    big_delta = zk[0] - r[0]
-    if delta.denominator != 1 or big_delta.denominator != 1:
-        raise VerificationError(f"delta = {delta} and Delta = {big_delta} must be integers")
     if not zk >= s_cycle:
         raise VerificationError("Z_K does not dominate s_[Z_K]")
     r2 = r_of_class(class_rep(zk + g.e0_star))
     s_check_cycle, _ = to_antinef(g, r2)
     return LauferScalars(
-        delta=int(delta),
-        big_delta=int(big_delta),
+        delta=int(s_cycle[0] - r[0]),  # s_[Z_K] is r_[Z_K] plus an integer vector
+        big_delta=zk.num[0] // zk.den,  # m_0(Z_K - r_[Z_K]), the floor of m_0(Z_K)
         s=s_cycle[0],
         s_check=s_check_cycle[0],
         s_cycle=s_cycle,
@@ -307,9 +304,13 @@ def scalars(g: StarGraph) -> LauferScalars:
 def frobenius_module_raw(g: StarGraph) -> int:
     """gamma - s, the largest integer outside the module of the link, by the lattice formula.
 
-    Cross-checked against Delta - delta - 1 and the central coefficient of
-    Z_K - s_[Z_K] minus one.  Negative exactly on rational links, and never
-    0, as N(0) = 0 puts 0 in the module: its sign decides rationality.
+    Compared with Delta - delta - 1 and the central coefficient of
+    Z_K - s_[Z_K] minus one.  By the definitions of delta and Delta all three
+    are gamma - s, so the comparison only catches a :class:`LauferScalars`
+    whose ``s`` disagrees with its ``s_cycle``; the independent check of this
+    route is the brute scan that ``frobenius --method both`` and ``verify``
+    compare it with.  Negative exactly on rational links, and never 0, as
+    N(0) = 0 puts 0 in the module: its sign decides rationality.
     """
     sc = g.scalars
     zk = canonical_cycle(g)

@@ -23,7 +23,6 @@ from .lattice import (
     group_order,
     pairing_with_vertex,
     r_of_class,
-    scaled,
     vertex_pairings,
     zero_cycle,
 )
@@ -127,7 +126,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     check("gamma_is_central_zk_coefficient", zk[0] == inv.gamma + 1, f"m0(Z_K) = {zk[0]}")
     duals = dual_basis(g)
     # one table of pairings: row v holds L_v*(E_v^*, E_w) over w, L_v the denominator of E_v^*
-    table = [(scale, vertex_pairings(g, a)) for scale, a in map(scaled, duals)]
+    table = [(d.den, vertex_pairings(g, d.num)) for d in duals]
     ok = all(
         row[w] == (-scale if v == w else 0)
         for v, (scale, row) in enumerate(table)
@@ -216,7 +215,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
               f"module formula {fm_formula} != brute {fm_brute}")
 
     # ladder duality, when the ladder is short enough to walk
-    big_delta = zk[0] - r_of_class(class_rep(zk))[0]
+    big_delta = zk.num[0] // zk.den  # m_0(Z_K - r_[Z_K]) = floor(m_0(Z_K))
     if big_delta <= 400:
         rep = route("ladder_duality", laufer.dual_check, sf)
         if rep is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from seifert_semigroup import (
+    RationalCycle,
     SeifertData,
     StarGraph,
     build_graph,
@@ -27,7 +28,6 @@ from seifert_semigroup import (
 )
 from seifert_semigroup.cli import full_report
 from seifert_semigroup.lattice import (
-    cf_value,
     hirzebruch_cf,
     intersection_matrix,
     orbifold_euler_number,
@@ -37,6 +37,14 @@ from seifert_semigroup.lattice import (
 from seifert_semigroup.verification import random_seifert
 
 from conftest import seeded_rng, star_graphs
+
+
+def cf_value(chain):
+    """Oracle: the value of the negative continued fraction [b_1, ..., b_k]."""
+    value = F(chain[-1])
+    for b in reversed(chain[:-1]):
+        value = b - 1 / value
+    return value
 
 
 def test_continued_fraction_examples():
@@ -143,6 +151,44 @@ def test_chi_bilinear_identity(golden_graphs):
             assert chi(g, a + b) == chi(g, a) + chi(g, b) - pairing(g, a, b)
 
 
+fraction_vectors = st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.fractions(-30, 30, max_denominator=40), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=300)
+@given(fraction_vectors, st.data())
+def test_rational_cycle_normal_form_matches_fraction_arithmetic(xs, data):
+    """Numerators over one denominator, in lowest terms, against componentwise
+    Fraction arithmetic on the drawn entries."""
+    n = len(xs)
+    other = st.lists(st.fractions(-30, 30, max_denominator=40), min_size=n, max_size=n)
+    ys = data.draw(st.one_of(st.just(list(xs)), other))
+    k = data.draw(st.integers(-5, 5))
+    q = data.draw(st.fractions(-7, 7, max_denominator=9))
+    a, b = cycle(xs), cycle(ys)
+    assert a.den == math.lcm(*(x.denominator for x in xs))
+    assert math.gcd(a.den, *a.num) == 1
+    assert a.coeffs == tuple(xs) and [a[v] for v in range(n)] == xs and list(a) == xs
+    assert str(a) == "(" + ", ".join(map(str, xs)) + ")"
+    scale = data.draw(st.integers(1, 12))
+    assert RationalCycle(tuple(scale * c for c in a.num), scale * a.den) == a
+    assert (a == b) == (xs == ys)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(xs, ys))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(xs, ys))
+    assert (-a).coeffs == tuple(-x for x in xs)
+    for s in (k, q):
+        assert (a * s).coeffs == (s * a).coeffs == tuple(x * s for x in xs)
+    assert (a >= b) == all(x >= y for x, y in zip(xs, ys))
+    assert (a <= b) == all(x <= y for x, y in zip(xs, ys))
+    assert a.is_integral() == all(x.denominator == 1 for x in xs)
+    assert r_of_class(class_rep(a)).coeffs == tuple(x - math.floor(x) for x in xs)
+    for c in (a + b, a - b, a * q, r_of_class(class_rep(a))):
+        assert c.den > 0 and math.gcd(c.den, *c.num) == 1
+
+
 def test_class_rep_golden(sf_star70, sf_base4):
     g = build_graph(sf_star70)
     r = class_rep(canonical_cycle(g))
@@ -186,7 +232,9 @@ def test_group_order_matches_seifert_formula():
     rng = seeded_rng(3)
     for _ in range(25):
         sf = random_seifert(rng, max_alpha=12, alpha_cap=10**6, window_cap=10**9)
-        assert group_order(build_graph(sf)) == invariants(sf).order_h
+        g = build_graph(sf)
+        assert group_order(g) == invariants(sf).order_h
+        assert g.det == invariants(sf).order_h
 
 
 def sylvester_negative_definite(g):
@@ -227,6 +275,7 @@ def test_tree_solve_matches_dense_oracle(g):
     zk, *duals = dense_solve(g, columns)
     assert canonical_cycle(g) == zk
     assert [dual_cycle(g, v) for v in range(g.n)] == duals
+    assert all(g.det % c.den == 0 for c in [zk, *duals])
 
 
 def fraction_chi(g, l):

@@ -34,7 +34,6 @@ from seifert_semigroup import (
 from seifert_semigroup.laufer import XSeries, _Sequence, frobenius_module_raw, ladder
 from seifert_semigroup.lattice import (
     ClassRep,
-    RationalCycle,
     intersection_matrix,
     orbifold_euler_number,
     pairing_with_vertex,
@@ -317,7 +316,7 @@ def rescan_to_antinef(g, start, vertices=None, trace=False, strategy="min", rng=
         p[v] += k * g.euler[v]
         for u in g.adjacency[v]:
             p[u] += k
-    return RationalCycle(tuple(coeffs)), (tuple(steps) if trace else None)
+    return cycle(coeffs), (tuple(steps) if trace else None)
 
 
 @st.composite

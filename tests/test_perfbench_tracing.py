@@ -9,11 +9,15 @@ nothing in it is changed.
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from seifert_semigroup import SeifertData
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -39,3 +43,39 @@ def test_the_table_span_reads_the_table_size():
     tracing = load_tracing()
     table = resolve(tracing.PACKAGE, tracing.TABLE_SPAN)(SeifertData(1, ((2, 1), (3, 1), (7, 1))))
     assert table.alpha == 42
+
+
+UNIT_ADDITIONS = """
+import json, sys
+from seifert_semigroup import cli, laufer, lattice, verification  # every traced module is loaded
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+steps = 0
+for line in open(sys.argv[1], encoding="utf-8"):
+    record = json.loads(line)
+    if record["id"] == "bad":
+        continue
+    g = cli.record_seifert(record).graph
+    for c in (g.zk, g.zk + g.e0_star):
+        r = lattice.r_of_class(lattice.class_rep(c))
+        steps += len(laufer.to_antinef(g, r, trace=True)[1].steps)
+print(steps, tracer.counts["laufer.unit_additions"])
+"""
+
+
+def test_unit_additions_count_the_single_steps_of_a_traced_run():
+    """On the golden corpus, from r_[Z_K] and r_[Z_K + E_0^*]: the counter reads
+    ``.coeffs`` of the start and the endpoint of every ``to_antinef`` call, and
+    must equal the number of single steps.  Run in a subprocess, as installing
+    the tracer rebinds package functions."""
+    corpus = ROOT / "tests" / "golden" / "corpus.jsonl"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
+    done = subprocess.run(
+        [sys.executable, "-c", UNIT_ADDITIONS, str(corpus)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    steps, counted = map(int, done.stdout.split())
+    assert steps > 0
+    assert counted == steps
