@@ -8,8 +8,10 @@ read it from a file, or ``-`` for stdin.  A record carries exactly one of:
     {"bh": [6, 10, 14]}
 
 plus an optional "id".  Rationals are rendered as "p/q" strings (reduced,
-positive denominator, integers without "/1").  Exit codes: 0 on success,
-1 on hard input errors, 2 on verification failures.
+positive denominator, integers without "/1").  The five JSON commands are
+bodies that fill the result object of a parsed record; :func:`_run` reads,
+parses and prints.  Exit codes: 0 on success, 1 on hard input errors (usage
+errors included), 2 on verification failures.
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ def _start(record: dict) -> dict:
     return {"id": record["id"]} if "id" in record else {}
 
 
-def parse_record(text_or_obj) -> dict:
-    obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
+def parse_record(obj) -> dict:
+    """A decoded record, checked to be an object with exactly one input variant."""
     if not isinstance(obj, dict):
         raise ValueError("input record must be a JSON object")
     variants = [k for k in ("seifert", "alphas", "bh") if k in obj]
@@ -160,18 +162,14 @@ def full_report(record: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: the JSON ones fill ``out`` for a parsed ``record``
 
 
-def cmd_info(args) -> int:
-    record = parse_record(_read_record(args.record))
+def cmd_info(record: dict, out: dict, args) -> None:
     sf = record_seifert(record)
-    out = _start(record)
     rational = laufer.frobenius_module_raw(sf.graph) < 0
     out["invariants"] = invariants_block(sf.inv, is_numerically_gorenstein(sf), rational)
     out["zk"] = fmt_cycle(canonical_cycle(sf.graph))
-    _emit(out)
-    return EXIT_OK
 
 
 def _by_method(method: str, formula, brute, what: str = "") -> int:
@@ -184,10 +182,8 @@ def _by_method(method: str, formula, brute, what: str = "") -> int:
     return f
 
 
-def cmd_frobenius(args) -> int:
-    record = parse_record(_read_record(args.record))
+def cmd_frobenius(record: dict, out: dict, args) -> None:
     sf = record_seifert(record)
-    out = _start(record)
     out["method"] = args.method
     semi = out["semigroup"] = {"trivial": sf.trivial, "frobenius": -1}
     if not sf.trivial:
@@ -203,15 +199,11 @@ def cmd_frobenius(args) -> int:
     )
     rational = frobenius == "rational"
     out["module"] = {"rational": rational, "frobenius": None if rational else frobenius}
-    _emit(out)
-    return EXIT_OK
 
 
-def cmd_semigroup(args) -> int:
-    record = parse_record(_read_record(args.record))
+def cmd_semigroup(record: dict, out: dict, args) -> None:
     link = Link(record_seifert(record))
     up_to = args.up_to if args.up_to is not None else max(0, ceil_frac(link.inv.gamma))
-    out = _start(record)
     out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
     out["members"] = SemigroupView(link).members(0, up_to)
     out["semigroup"] = semigroup_block(link)
@@ -228,12 +220,9 @@ def cmd_semigroup(args) -> int:
         "p0Plus": list(poin.p0_plus),
         "pg": poin.pg,
     }
-    _emit(out)
-    return EXIT_OK
 
 
-def cmd_laufer(args) -> int:
-    record = parse_record(_read_record(args.record))
+def cmd_laufer(record: dict, out: dict, args) -> None:
     g = record_seifert(record).graph
     zk = canonical_cycle(g)
     if args.class_rep == "zk":
@@ -248,7 +237,6 @@ def cmd_laufer(args) -> int:
         result, trace = laufer.to_antinef(g, r, trace=args.trace)
     else:  # the scalars already ran the sequences of [Z_K] and [Z_K + E_0^*]
         result = sc.s_cycle if args.class_rep == "zk" else sc.s_check_cycle
-    out = _start(record)
     out["class"] = args.class_rep
     out["r"] = fmt_cycle(r)
     out["sH"] = fmt_cycle(result)
@@ -263,16 +251,12 @@ def cmd_laufer(args) -> int:
             f"step {k}: +E_{v}, chi={chi_val}"
             for k, (v, chi_val) in enumerate(trace.steps, start=1)
         ]
-    _emit(out)
-    return EXIT_OK
 
 
-def cmd_bh(args) -> int:
-    record = parse_record(_read_record(args.record))
+def cmd_bh(record: dict, out: dict, args) -> None:
     if "bh" not in record:
         raise ValueError("the bh command needs a {'bh': [...]} record")
     cls = record_bh(record)
-    out = _start(record)
     out["exponents"] = list(cls.exponents)
     out["case"] = cls.case
     if cls.case != NOT_QHS:
@@ -282,8 +266,6 @@ def cmd_bh(args) -> int:
         out["p"] = list(cls.p)
         out["seifert"] = {"b0": sf.b0, "legs": [list(leg) for leg in sf.legs]}
         out["generators"] = bh_generators(cls)
-    _emit(out)
-    return EXIT_OK
 
 
 def cmd_verify(args) -> int:
@@ -301,8 +283,7 @@ def cmd_verify(args) -> int:
     else:
         if args.record is None:
             raise ValueError("verify needs a record or --random K")
-        record = parse_record(_read_record(args.record))
-        sf = record_seifert(record)
+        sf = record_seifert(parse_record(json.loads(_read_record(args.record))))
         results = verification.verify_seifert(sf, random.Random(args.seed))
     failed = 0
     for res in results:
@@ -315,49 +296,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-CSV_COLUMNS = [
-    "id", "error", "e", "alpha", "gamma", "orderH", "orbitOrder",
-    "numericallyGorenstein", "rational", "semigroupFrobenius", "trivial",
-    "gaps", "symmetric", "moduleFrobenius", "moduleMin",
-]
-
-
-def _flatten(result: dict) -> dict:
-    if "error" in result:
-        return {"id": result.get("id", ""), "error": result["error"]}
-    inv = result["invariants"]
-    semi = result["semigroup"]
-    return {
-        "id": result.get("id", ""),
-        "error": "",
-        "e": inv["e"],
-        "alpha": inv["alpha"],
-        "gamma": inv["gamma"],
-        "orderH": inv["orderH"],
-        "orbitOrder": inv["orbitOrder"],
-        "numericallyGorenstein": inv["numericallyGorenstein"],
-        "rational": inv["rational"],
-        "semigroupFrobenius": semi["frobenius"],
-        "trivial": semi["trivial"],
-        "gaps": semi["gaps"],
-        "symmetric": semi["symmetric"],
-        "moduleFrobenius": result["module"]["frobenius"],
-        "moduleMin": result["module"]["min"],
-    }
+# Each CSV column after "id" and "error", and its (section, key) in a full report.
+_CSV_SOURCE = {
+    "e": ("invariants", "e"), "alpha": ("invariants", "alpha"), "gamma": ("invariants", "gamma"),
+    "orderH": ("invariants", "orderH"), "orbitOrder": ("invariants", "orbitOrder"),
+    "numericallyGorenstein": ("invariants", "numericallyGorenstein"), "rational": ("invariants", "rational"),
+    "semigroupFrobenius": ("semigroup", "frobenius"), "trivial": ("semigroup", "trivial"),
+    "gaps": ("semigroup", "gaps"), "symmetric": ("semigroup", "symmetric"),
+    "moduleFrobenius": ("module", "frobenius"), "moduleMin": ("module", "min"),
+}
 
 
 def _batch_one(line: str) -> tuple[str, bool]:
     """Process one JSONL record; returns (result line, had_error)."""
+    obj = None
     try:
-        record = parse_record(line)
-        result = full_report(record)
-        return json.dumps(result), False
+        obj = json.loads(line)
+        return json.dumps(full_report(parse_record(obj))), False
     except Exception as ex:  # noqa: BLE001 - per-record error reporting
-        ident = ""
-        try:
-            ident = json.loads(line).get("id", "")
-        except Exception:  # noqa: BLE001
-            pass
+        ident = obj.get("id", "") if isinstance(obj, dict) else ""
         return json.dumps({"id": ident, "error": str(ex)}), True
 
 
@@ -372,14 +329,15 @@ def cmd_batch(args) -> int:
     else:
         outcomes = [_batch_one(line) for line in lines]
     had_error = any(err for _, err in outcomes)
-    results = [json.loads(text) for text, _ in outcomes]
 
     if args.format == "csv" or (args.out and args.out.endswith(".csv") and args.format == "auto"):
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for result in results:
-            writer.writerow(_flatten(result))
+        writer = csv.writer(buf)
+        writer.writerow(["id", "error", *_CSV_SOURCE])
+        for text, err in outcomes:
+            result = json.loads(text)
+            cells = [""] * len(_CSV_SOURCE) if err else [result[s][k] for s, k in _CSV_SOURCE.values()]
+            writer.writerow([result.get("id", ""), result.get("error", ""), *cells])
         payload = buf.getvalue()
     else:
         payload = "".join(text + "\n" for text, _ in outcomes)
@@ -405,50 +363,47 @@ def _read_record(arg: str) -> str:
     return arg
 
 
-def _emit(obj: dict) -> None:
-    json.dump(obj, sys.stdout)
-    sys.stdout.write("\n")
+def _run(body, args) -> int:
+    """The frame of a JSON command: read and parse the record, open the result
+    with its id, let ``body`` fill it, print it as one line."""
+    record = parse_record(json.loads(_read_record(args.record)))
+    out = _start(record)
+    body(record, out, args)
+    print(json.dumps(out))
+    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: one ``error:`` line from :func:`main`, exit 1."""
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seifert-semigroup",
         description="Numerical semigroups of negative-definite Seifert rational homology spheres",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_record(p, required=True):
-        if required:
-            p.add_argument("record", help="JSON record, @file, or - for stdin")
-        else:
-            p.add_argument("record", nargs="?", default=None, help="JSON record, @file, or - for stdin")
+    def json_command(name, body, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("record", help="JSON record, @file, or - for stdin")
+        p.set_defaults(func=lambda args: _run(body, args))
+        return p
 
-    p = sub.add_parser("info", help="invariants and the canonical cycle")
-    add_record(p)
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("frobenius", help="Frobenius numbers of the semigroup and module")
-    add_record(p)
+    json_command("info", cmd_info, "invariants and the canonical cycle")
+    p = json_command("frobenius", cmd_frobenius, "Frobenius numbers of the semigroup and module")
     p.add_argument("--method", choices=["formula", "brute", "both"], default="both")
-    p.set_defaults(func=cmd_frobenius)
-
-    p = sub.add_parser("semigroup", help="membership, generators, Apery set, symmetry, Poincare data")
-    add_record(p)
+    p = json_command("semigroup", cmd_semigroup, "membership, generators, Apery set, symmetry, Poincare data")
     p.add_argument("--up-to", type=int, default=None, dest="up_to")
-    p.set_defaults(func=cmd_semigroup)
-
-    p = sub.add_parser("laufer", help="computation-sequence scalars and optional trace")
-    add_record(p)
+    p = json_command("laufer", cmd_laufer, "computation-sequence scalars and optional trace")
     p.add_argument("--class", choices=["zk", "zk+e0", "zero"], default="zk", dest="class_rep")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_laufer)
-
-    p = sub.add_parser("bh", help="Brieskorn-Hamm classification, Seifert data and generators")
-    add_record(p)
-    p.set_defaults(func=cmd_bh)
+    json_command("bh", cmd_bh, "Brieskorn-Hamm classification, Seifert data and generators")
 
     p = sub.add_parser("verify", help="run the invariant/oracle suite; nonzero exit on failure")
-    add_record(p, required=False)
+    p.add_argument("record", nargs="?", default=None, help="JSON record, @file, or - for stdin")
     p.add_argument("--random", type=int, default=None, metavar="K")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-alpha", type=int, default=30, dest="max_alpha")
@@ -466,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except VerificationError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)

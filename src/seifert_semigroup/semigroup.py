@@ -56,7 +56,9 @@ class Link:
     count (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap
     is {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
     The Link keeps the table and Ap and no other alpha-sized container: each
-    pass over the m_r reads the table again.
+    pass over the m_r reads the table again.  ``ap``, ``module_min`` and
+    ``module_frobenius_raw`` cache :func:`apery_selmer`, :func:`min_module`
+    and :func:`frobenius_module_raw` of the Link, one pass each.
     """
 
     def __init__(self, sf: SeifertData):
@@ -72,12 +74,7 @@ class Link:
 
     @cached_property
     def ap(self) -> AperyData:
-        alpha, apery = self.inv.alpha, tuple(self.least(0))
-        return AperyData(
-            apery=apery,
-            frobenius=max(apery) - alpha,
-            gaps=(sum(apery) - alpha * (alpha - 1) // 2) // alpha,
-        )
+        return apery_selmer(self)
 
     def in_semigroup(self, ell: int) -> bool:
         return ell >= self.ap.apery[ell % self.inv.alpha]
@@ -87,11 +84,11 @@ class Link:
 
     @cached_property
     def module_min(self) -> int:
-        return min(self.least(-1))
+        return min_module(self)
 
     @cached_property
     def module_frobenius_raw(self) -> int:
-        return max(self.least(-1)) - self.inv.alpha
+        return frobenius_module_raw(self)
 
     @property
     def rational(self) -> bool:
@@ -159,7 +156,8 @@ def frobenius_module_raw(link: Link | SeifertData) -> int:
 
     Negative for rational links; equals the module Frobenius number otherwise.
     """
-    return as_link(link).module_frobenius_raw
+    link = as_link(link)
+    return max(link.least(-1)) - link.inv.alpha
 
 
 def frobenius_by_formula(sf: SeifertData) -> int:
@@ -192,12 +190,18 @@ def frobenius_by_formula(sf: SeifertData) -> int:
 
 def min_module(link: Link | SeifertData) -> int:
     """Smallest element of the module: the least of the per-class minima m_r."""
-    return as_link(link).module_min
+    return min(as_link(link).least(-1))
 
 
 def apery_selmer(link: Link | SeifertData) -> AperyData:
     """Apery set with respect to alpha, Selmer Frobenius number, gap count."""
-    return as_link(link).ap
+    link = as_link(link)
+    alpha, apery = link.inv.alpha, tuple(link.least(0))
+    return AperyData(
+        apery=apery,
+        frobenius=max(apery) - alpha,
+        gaps=(sum(apery) - alpha * (alpha - 1) // 2) // alpha,
+    )
 
 
 def gap_count_direct(sf: SeifertData) -> int:

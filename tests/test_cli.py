@@ -443,6 +443,48 @@ def test_checks_survive_optimize_flag():
     assert result.returncode == 0 and result.stdout == "refused\n", result.stderr
 
 
+USAGE_ERRORS = {
+    "bad-choice": (["frobenius", SEC5, "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+    "bad-int": (["semigroup", SEC5, "--up-to", "x"], "argument --up-to: invalid int value: 'x'"),
+    "unknown-command": (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+    "no-command": ([], "the following arguments are required: command"),
+    "batch-no-in": (["batch"], "the following arguments are required: --in"),
+    "info-no-record": (["info"], "the following arguments are required: record"),
+}
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_line_input_error(argv, message, capsys):
+    """Exit 2 is kept for verification failures: argparse's usage errors exit 1 with one line."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["", "info", "frobenius", "semigroup", "laufer", "bh", "verify", "batch"])
+def test_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([*command.split(), "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: seifert-semigroup")
+
+
+def test_json_commands_are_bodies_of_one_runner():
+    """The five JSON commands only fill ``out``: reading, parsing and printing are the runner's."""
+    from seifert_semigroup import cli
+
+    frame = {"_read_record", "parse_record", "json.dump", "json.dumps", "print", "sys.stdout.write"}
+    names = ("cmd_info", "cmd_frobenius", "cmd_semigroup", "cmd_laufer", "cmd_bh")
+    bodies = {
+        node.name: {ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call)}
+        for node in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    }
+    assert len(bodies) == 5
+    assert {name: sorted(calls & frame) for name, calls in bodies.items() if calls & frame} == {}
+
+
 def test_no_bare_asserts_in_the_package():
     """Cross-checks raise VerificationError, so they still run under python -O."""
     package = Path(__file__).parents[1] / "src" / "seifert_semigroup"

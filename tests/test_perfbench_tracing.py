@@ -79,3 +79,27 @@ def test_unit_additions_count_the_single_steps_of_a_traced_run():
     steps, counted = map(int, done.stdout.split())
     assert steps > 0
     assert counted == steps
+
+
+LINK_PASSES = """
+from seifert_semigroup import cli
+from tracing import Tracer
+
+tracer = Tracer()
+tracer.install()
+cli.full_report({"alphas": [7, 11, 13]})
+names = [span[2] for span in tracer.spans]
+print(*(names.count(f"semigroup.{f}") for f in ("apery_selmer", "min_module", "frobenius_module_raw")))
+"""
+
+
+def test_the_link_passes_are_traced_once_per_report():
+    """``Link.ap``, ``module_min`` and ``module_frobenius_raw`` run through the
+    traced functions, so each pass is one span of its own and not time of
+    ``cli.full_report``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
+    done = subprocess.run(
+        [sys.executable, "-c", LINK_PASSES], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "1"]
