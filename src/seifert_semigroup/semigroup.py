@@ -10,9 +10,10 @@ separate so each can certify the other.
 Every other semigroup and module quantity is read off one :class:`Link` per
 record: one table of N over a period gives the least element of each residue
 class at each level, the Apery set at level 0 and the module minima at -1.
-The generators are sieved out of the Apery elements, one C-level pass per
-generator, and symmetry follows from Selmer's gap count.  Also here: the
-same sieve for a monoid given by generators, strongly flat recognition,
+The module is S - alpha for orbit order one and one pass over the minima
+otherwise.  The generators are sieved out of the Apery elements, one C-level
+pass per generator, and symmetry follows from Selmer's gap count.  Also here:
+the same sieve for a monoid given by generators, strongly flat recognition,
 end-vertex projections of integral homology sphere semigroups and the
 Poincare series decomposition into polynomial and negative parts.
 """
@@ -46,6 +47,13 @@ class AperyData:
     gaps: int
 
 
+@dataclass(frozen=True)
+class ModuleData:
+    min: int
+    frobenius_raw: int
+    principal: bool
+
+
 class Link:
     """One record's semigroup and module, read off a single period table of N.
 
@@ -55,10 +63,11 @@ class Link:
     Selmer's formulas give the Frobenius number max(Ap) - alpha and the gap
     count (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap
     is {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
-    The Link keeps the table and Ap and no other alpha-sized container: each
-    pass over the m_r reads the table again.  ``ap``, ``module_min`` and
-    ``module_frobenius_raw`` cache :func:`apery_selmer`, :func:`min_module`
-    and :func:`frobenius_module_raw` of the Link, one pass each.
+    The Link keeps the table and Ap and no other alpha-sized container.  For
+    o = 1, N(ell + alpha) = N(ell) + 1 makes the module M = {N >= -1} equal to
+    S - alpha, which ``module`` reads off Ap; otherwise it makes one pass over
+    the m_r.  ``ap``, ``module_min`` and ``module_frobenius_raw`` cache
+    :func:`apery_selmer`, :func:`min_module` and :func:`frobenius_module_raw`.
     """
 
     def __init__(self, sf: SeifertData):
@@ -68,8 +77,9 @@ class Link:
 
     def least(self, level: int) -> Iterator[int]:
         """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy)."""
-        alpha = self.inv.alpha
-        steps = map(operator.floordiv, map((-level).__add__, self.n.base), repeat(self.inv.orbit_order))
+        alpha, o = self.inv.alpha, self.inv.orbit_order
+        steps = self.n.base if level == 0 else map((-level).__add__, self.n.base)
+        steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
         return map(operator.sub, range(alpha), map(alpha.__mul__, steps))
 
     @cached_property
@@ -81,6 +91,17 @@ class Link:
 
     def in_module(self, ell: int) -> bool:
         return self.n(ell) >= -1
+
+    @cached_property
+    def module(self) -> ModuleData:
+        """min(M), max(Z \\ M) and whether M = min(M) + S: m_r = min(M) + Ap[(r - min(M)) mod alpha] for all r."""
+        alpha, ap = self.inv.alpha, self.ap
+        if self.inv.orbit_order == 1:
+            return ModuleData(min=-alpha, frobenius_raw=ap.frobenius - alpha, principal=True)
+        minima = list(self.least(-1))
+        lo = min(minima)
+        rotated = map(lo.__add__, islice(cycle(ap.apery), -lo % alpha, None))
+        return ModuleData(min=lo, frobenius_raw=max(minima) - alpha, principal=all(map(operator.eq, minima, rotated)))
 
     @cached_property
     def module_min(self) -> int:
@@ -156,8 +177,7 @@ def frobenius_module_raw(link: Link | SeifertData) -> int:
 
     Negative for rational links; equals the module Frobenius number otherwise.
     """
-    link = as_link(link)
-    return max(link.least(-1)) - link.inv.alpha
+    return as_link(link).module.frobenius_raw
 
 
 def frobenius_by_formula(sf: SeifertData) -> int:
@@ -190,7 +210,7 @@ def frobenius_by_formula(sf: SeifertData) -> int:
 
 def min_module(link: Link | SeifertData) -> int:
     """Smallest element of the module: the least of the per-class minima m_r."""
-    return min(as_link(link).least(-1))
+    return as_link(link).module.min
 
 
 def apery_selmer(link: Link | SeifertData) -> AperyData:
@@ -403,9 +423,9 @@ def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
 
     S is symmetric iff it has (f + 1)/2 gaps, so only a non-symmetric S is
     scanned on [0, f/2] for witnesses, the pairs (ell, f - ell) violating the
-    equivalence.  N is superadditive, so min(M) + S lies in M, and the two
-    are equal exactly when every class r has m_r = min(M) + Ap[(r - min(M))
-    mod alpha].  For numerically Gorenstein data the two verdicts agree.
+    equivalence.  N is superadditive, so min(M) + S lies in M, and
+    ``Link.module`` says whether they are equal.  For numerically Gorenstein
+    data the two verdicts agree, or :class:`VerificationError` is raised.
     """
     link = as_link(link)
     if link.sf.trivial:
@@ -416,10 +436,7 @@ def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
     witnesses = tuple((ell, f - ell) for ell in scan if member(ell) == member(f - ell))
     if not symmetric and not witnesses:
         raise VerificationError(f"{gaps} gaps with Frobenius number {f}, but no symmetry witness")
-    alpha, apery, minm = link.inv.alpha, link.ap.apery, link.module_min
-    start = -minm % alpha
-    rotated = map(minm.__add__, islice(cycle(apery), start, start + alpha))
-    module_principal = all(map(operator.eq, link.least(-1), rotated))
+    module_principal = link.module.principal
     if link.gorenstein and symmetric != module_principal:
         raise VerificationError("Gorenstein symmetry/principality must agree")
     return SymmetryReport(symmetric=symmetric, witnesses=witnesses, module_principal=module_principal)
@@ -439,7 +456,9 @@ def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryRep
     {N = -1} = Z \\ ((gamma - S) u S), which in class r says
     m_r = min(Ap[r], gamma + alpha - Ap[(gamma - r) mod alpha]).  Moving ell
     by alpha moves both sides of each identity by the same multiple of o, so
-    checking the residues 0 <= r < alpha covers all of Z.
+    checking the residues 0 <= r < alpha covers all of Z.  The m_r come from a
+    pass of their own, so on the ``verify`` path this checks the shortcut
+    M = S - alpha that ``Link.module`` takes for o = 1.
     """
     link = as_link(link)
     if not link.gorenstein:
