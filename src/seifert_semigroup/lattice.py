@@ -370,75 +370,30 @@ def is_antinef(g: StarGraph, l: RationalCycle, vertices: Iterable[int] | None = 
 
 
 # ---------------------------------------------------------------------------
-# Integer normal forms and definiteness checks
-
-
-def smith_invariants(mat: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns nonnegative invariant factors d_1 | d_2 | ... (zeros last).
-    """
-    m = [list(map(int, row)) for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    diag = []
-    t = 0
-    while t < min(rows, cols):
-        # locate a nonzero pivot in the remaining block
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if m[i][j] != 0:
-                    if pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            m[t], m[i] = m[i], m[t]
-            for row in m:
-                row[t], row[j] = row[j], row[t]
-            dirty = False
-            for i in range(t + 1, rows):
-                q = m[i][t] // m[t][t]
-                if q:
-                    m[i] = [a - q * b for a, b in zip(m[i], m[t])]
-                if m[i][t]:
-                    dirty = True
-            for j in range(t + 1, cols):
-                q = m[t][j] // m[t][t]
-                if q:
-                    for row in m:
-                        row[j] -= q * row[t]
-                if m[t][j]:
-                    dirty = True
-            if not dirty:
-                # enforce divisibility of the remaining block by the pivot
-                offender = next(
-                    ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if m[i][j] % m[t][t]),
-                    None,
-                )
-                if offender is None:
-                    break
-                m[t] = [a + b for a, b in zip(m[t], m[offender[0]])]
-            pivot = min(
-                ((i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j] != 0),
-                key=lambda ij: abs(m[ij[0]][ij[1]]),
-            )
-        diag.append(abs(m[t][t]))
-        t += 1
-    diag.extend([0] * (min(rows, cols) - len(diag)))
-    return diag
+# Determinant and definiteness checks
 
 
 def group_order(g: StarGraph) -> int:
-    """|H| = |L'/L| = |det I|, computed from the Smith normal form of I."""
-    diag = smith_invariants(intersection_matrix(g))
-    order = 1
-    for x in diag:
-        if x == 0:
+    """|H| = |L'/L| = |det I|, by fraction-free elimination on the dense matrix I.
+
+    Bareiss ("Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", 1968): each 2x2 update divides exactly by the previous
+    pivot, so every entry stays a minor of I and the last pivot is +-det I.
+    A zero pivot is swapped with a row below; with none left, I is singular.
+    Unlike ``g.det``, this route reads neither the leg tails nor e.
+    """
+    m = [list(row) for row in intersection_matrix(g)]
+    prev = 1
+    for k in range(g.n):
+        p = next((i for i in range(k, g.n) if m[i][k]), None)
+        if p is None:
             raise ArithmeticError("degenerate intersection form")
-        order *= x
-    return order
+        m[k], m[p] = m[p], m[k]
+        top = m[k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(a * top[k] - row[k] * b) // prev for a, b in zip(row[k + 1:], top[k + 1:])]
+        prev = top[k]
+    return abs(prev)
 
 
 def is_negative_definite(g: StarGraph) -> bool:

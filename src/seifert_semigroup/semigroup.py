@@ -224,10 +224,18 @@ def apery_selmer(link: Link | SeifertData) -> AperyData:
     )
 
 
+def gap_window(sf: SeifertData) -> bytes:
+    """One byte per ell in [0, alpha + gamma] by a direct scan of N, 1 at a gap and 0 at a member.
+
+    No gap lies above alpha + gamma: ``rfind(1)`` is the Frobenius number and ``count(1)`` the gap count.
+    """
+    inv = sf.inv
+    return bytes(map((0).__gt__, quasilinear_values(sf, range(floor_frac(inv.alpha + inv.gamma) + 1))))
+
+
 def gap_count_direct(sf: SeifertData) -> int:
     """Number of gaps by direct enumeration of non-members in (0, alpha + gamma]."""
-    inv = sf.inv
-    return sum(map((0).__gt__, quasilinear_values(sf, range(1, floor_frac(inv.alpha + inv.gamma) + 1))))
+    return gap_window(sf).count(1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,14 @@ from seifert_semigroup import (
     SeifertData,
     VerificationError,
     frobenius_bruteforce,
+    ihs_from_alphas,
     lattice,
     laufer,
     seifert,
     verification,
 )
-from seifert_semigroup.cli import main
+from seifert_semigroup.cli import build_parser, main
+from seifert_semigroup.seifert import floor_frac
 
 from conftest import count_calls
 
@@ -180,6 +182,41 @@ def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
     assert sum(args[0] is sf for args in graph_calls) == 1
 
 
+def test_verify_scans_the_semigroup_window_once(monkeypatch):
+    """The brute Frobenius number and gap count come off one scan of N over
+    [0, alpha + gamma]; here alpha + gamma = 4311, past the augmentation check."""
+    sf = ihs_from_alphas((11, 13, 17))
+    top = floor_frac(sf.inv.alpha + sf.inv.gamma)
+    calls = count_calls(monkeypatch, seifert.quasilinear_values)
+    results = verification.verify_seifert(sf, random.Random(0))
+    assert top > 3000 and all(r.passed for r in results)
+    covering = [ells for arg, ells in calls if arg is sf and min(ells) <= 1 and max(ells) >= top]
+    assert len(covering) == 1
+
+
+@pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
+@pytest.mark.parametrize("fault", ["raise-f-class", "lower-middle-class"])
+def test_verify_catches_a_planted_table_fault(alphas, fault, monkeypatch, capsys):
+    """A period table off by one in one residue class disagrees with the brute
+    window: raising N at the class of f moves the Selmer Frobenius number, and
+    either fault moves the gap count."""
+    sf = ihs_from_alphas(alphas)
+    alpha = sf.inv.alpha
+    r, shift = (frobenius_bruteforce(sf) % alpha, 1) if fault == "raise-f-class" else (alpha // 2, -1)
+    exact = seifert.QuasilinearTable.__init__
+
+    def planted(self, sf):
+        exact(self, sf)
+        self.base[r] += shift
+
+    monkeypatch.setattr(seifert.QuasilinearTable, "__init__", planted)
+    code, out = run_cli(capsys, "verify", json.dumps({"alphas": list(alphas)}))
+    fails = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert code == 2
+    assert "gap_count_agreement" in fails
+    assert fault != "raise-f-class" or "selmer_agreement" in fails
+
+
 def _rational(*args):
     raise RationalLinkError("rational link")
 
@@ -263,6 +300,21 @@ def test_lattice_commands_answer_at_alpha_1e12(command):
         assert data["invariants"]["rational"] is False
     else:
         assert data["module"]["rational"] is False
+
+
+def test_brute_route_exits_early_at_alpha_1e12():
+    """Both brute scans stop at their first hit from the top, so they answer
+    where a whole window of about alpha entries would not fit in memory."""
+    record = '{"alphas":[1009,1013,1019,1021]}'
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", "frobenius", record, "--method", "brute"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["semigroup"]["frobenius"] == 3186039708591
+    assert data["module"]["frobenius"] == 2122630203908
 
 
 def test_bad_record_is_input_error(capsys):
@@ -441,6 +493,26 @@ def test_checks_survive_optimize_flag():
     )
     result = _python("-O", "-c", indefinite)
     assert result.returncode == 0 and result.stdout == "refused\n", result.stderr
+
+
+def test_one_parser_serves_successive_calls(capsys):
+    """The parser is built once per process: each call, after a usage error
+    too, prints and exits as the same command does in a fresh interpreter."""
+    commands = [
+        ["frobenius", SEC5, "--method", "formula"],
+        ["verify", SEC5],
+        ["frobenius", SEC5, "--method", "bogus"],
+        ["frobenius", SEC5],
+    ]
+    for argv in commands:
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = _python("-m", "seifert_semigroup", *argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    parser = build_parser()
+    assert build_parser() is parser
+    assert parser.parse_args(["frobenius", SEC5]).method == "both"
+    assert not hasattr(parser.parse_args(["verify"]), "method")
 
 
 USAGE_ERRORS = {

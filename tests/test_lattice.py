@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import sys
@@ -26,13 +27,12 @@ from seifert_semigroup import (
     unit_cycle,
     zero_cycle,
 )
-from seifert_semigroup.cli import full_report
+from seifert_semigroup.cli import build_parser, full_report
 from seifert_semigroup.lattice import (
     hirzebruch_cf,
     intersection_matrix,
     orbifold_euler_number,
     pairing_with_vertex,
-    smith_invariants,
 )
 from seifert_semigroup.verification import random_seifert
 
@@ -217,15 +217,23 @@ def test_antinef_predicate(golden_graphs):
         assert is_antinef(g, -1 * unit_cycle(g.n, 0), vertices=range(1, g.n))
 
 
-def test_smith_invariants_fixed():
-    assert smith_invariants([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_invariants([[1, 0], [0, 0]]) == [1, 0]
-    diag = smith_invariants([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert len(diag) == 3
-    assert math.prod(diag) == abs(2 * (6 * 16 - 12 * 4) - 4 * (-6 * 16 - 12 * 10) + 4 * (-6 * 4 - 6 * 10))
-    for a, b in zip(diag, diag[1:]):
-        if b:
-            assert b % a == 0
+@given(star_graphs())
+def test_group_order_is_the_tree_determinant(g):
+    """The dense elimination and the leg-tail recursion give the same |det I|,
+    on indefinite graphs too; a singular form has no order."""
+    if g.det == 0:
+        with pytest.raises(ArithmeticError):
+            group_order(g)
+    else:
+        assert group_order(g) == abs(g.det)
+
+
+def test_group_order_refuses_a_singular_form():
+    """The affine D~4 star: centre and four legs of -2, det I = 0."""
+    g = StarGraph((-2,) * 5, ((1,), (2,), (3,), (4,)))
+    assert g.det == 0
+    with pytest.raises(ArithmeticError, match="degenerate intersection form"):
+        group_order(g)
 
 
 def test_group_order_matches_seifert_formula():
@@ -311,7 +319,8 @@ def test_negative_definiteness_tracks_euler_number_sign():
 
 
 def test_no_module_level_caches():
-    """Graph data lives on the graph object; no package function keeps a cache."""
+    """Graph data lives on the graph object; the only package cache is the CLI
+    parser, whose builder takes no arguments and so holds no record data."""
     corpus = Path(__file__).parent / "golden" / "corpus.jsonl"
     for line in corpus.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
@@ -324,7 +333,8 @@ def test_no_module_level_caches():
         for attr, value in vars(module).items()
         if hasattr(value, "cache_info")
     ]
-    assert cached == []
+    assert cached == ["seifert_semigroup.cli.build_parser"]
+    assert not inspect.signature(build_parser).parameters
 
 
 def test_invalid_graphs_rejected():
