@@ -55,7 +55,6 @@ from .semigroup import (
     AperyData,
     Link,
     PoincareData,
-    SemigroupView,
     StronglyFlatReport,
     SymmetryReport,
     apery_selmer,

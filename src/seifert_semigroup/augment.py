@@ -15,7 +15,7 @@ For n large enough the module of the augmented link stabilises to the
 semigroup of the base link; :func:`verify_prop_comp` checks this window by
 window, growing n adaptively, and cross-checks the module Frobenius number
 of the augmented graph against the brute-force semigroup Frobenius number
-of the base.
+of the base, read off one scan of the base.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from itertools import compress, repeat
 from . import laufer
 from .errors import RationalLinkError
 from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
-from .seifert import SeifertData, ceil_frac, quasilinear_values
-from .semigroup import frobenius_bruteforce
+from .seifert import SeifertData, ceil_frac, floor_frac, quasilinear_values
 
 
 @dataclass(frozen=True)
@@ -126,14 +125,18 @@ def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropC
     """Check that the augmented module equals the base semigroup on [0, bound].
 
     With ``n`` given, that single augmentation is tested.  Otherwise n starts
-    at max(ceil(1/|e|) + 1, ceil(gamma - s + alpha) + 1) -- the explicit
-    sufficiency threshold -- and doubles on failure, at most four times.
-    Alongside membership, the module Frobenius number of the augmented graph
-    (lattice formula) must equal the brute-force semigroup Frobenius number
-    of the base whenever the base semigroup is nontrivial.  The threshold
-    reads s off the Laufer scalars kept on ``sf.graph``.
+    at max(ceil(1/|e|) + 1, ceil(gamma - s + alpha) + 1), s read off
+    ``sf.graph.scalars``, and doubles on failure, at most four times; the
+    start value is not sufficient on every record.  For a nontrivial base the
+    module Frobenius number of the augmented graph (lattice formula) must
+    also equal that of the base semigroup, the last gap of one brute scan of
+    the base on [0, bound]; ``bound`` must reach floor(alpha + gamma), past
+    which there is no gap, or this raises ``ValueError``.
     """
     inv = sf.inv
+    window = floor_frac(inv.alpha + inv.gamma)
+    if not sf.trivial and bound < window:
+        raise ValueError(f"bound {bound} is below floor(alpha + gamma) = {window}")
     if n is not None:
         candidates = [n]
     else:
@@ -143,23 +146,23 @@ def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropC
             ceil_frac(inv.gamma - sc.s + inv.alpha) + 1,
         )
         candidates = [start * (1 << k) for k in range(5)]
-    f_base = None if sf.trivial else frobenius_bruteforce(sf)
+    base_gaps = bytes(map((0).__gt__, quasilinear_values(sf, range(bound + 1))))
+    f_base = None if sf.trivial else base_gaps.rfind(1)
     last_detail = ""
     for cand in candidates:
         pair = augment(sf, cand)
-        ok, detail = _prop_comp_once(pair, bound, f_base)
+        ok, detail = _prop_comp_once(pair, base_gaps, f_base)
         if ok:
             return PropCompReport(n_used=cand, passed=True)
         last_detail = detail
     return PropCompReport(n_used=candidates[-1], passed=False, detail=last_detail)
 
 
-def _prop_comp_once(pair: AugmentedPair, bound: int, f_base: int | None) -> tuple[bool, str]:
-    """Membership on [0, bound]; then, for a non-trivial base, f_M(augmented) = ``f_base``."""
-    ells = range(bound + 1)
-    in_semigroup = map((0).__le__, quasilinear_values(pair.base, ells))
-    in_module = map((-1).__le__, quasilinear_values(pair.augmented, ells))
-    ell = next(compress(ells, map(operator.ne, in_semigroup, in_module)), None)
+def _prop_comp_once(pair: AugmentedPair, base_gaps: bytes, f_base: int | None) -> tuple[bool, str]:
+    """Module gaps against ``base_gaps`` (1 at a gap of the base); then, for a non-trivial base, f_M = ``f_base``."""
+    ells = range(len(base_gaps))
+    module_gaps = map((-1).__gt__, quasilinear_values(pair.augmented, ells))
+    ell = next(compress(ells, map(operator.ne, base_gaps, module_gaps)), None)
     if ell is not None:
         return False, f"membership differs at ell = {ell} (n = {pair.n})"
     if f_base is not None:

@@ -39,7 +39,6 @@ from .seifert import (
 )
 from .semigroup import (
     Link,
-    SemigroupView,
     frobenius_bruteforce,
     frobenius_by_formula,
     minimal_generators,
@@ -206,7 +205,7 @@ def cmd_semigroup(record: dict, out: dict, args) -> None:
     link = Link(record_seifert(record))
     up_to = args.up_to if args.up_to is not None else max(0, ceil_frac(link.inv.gamma))
     out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
-    out["members"] = SemigroupView(link).members(0, up_to)
+    out["members"] = list(filter(link.in_semigroup, range(up_to + 1)))
     out["semigroup"] = semigroup_block(link)
     if not link.sf.trivial:
         rep = symmetry_report(link)

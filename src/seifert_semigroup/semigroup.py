@@ -13,13 +13,14 @@ class at each level, the Apery set at level 0 and the module minima at -1.
 The module is S - alpha for orbit order one and one pass over the minima
 otherwise.  The generators are sieved out of the Apery elements, one C-level
 pass per generator, and symmetry follows from Selmer's gap count.  Also here:
-the same sieve for a monoid given by generators, strongly flat recognition,
-end-vertex projections of integral homology sphere semigroups and the
-Poincare series decomposition into polynomial and negative parts.
+the Apery set of a monoid given by generators, read the same way, strongly
+flat recognition, end-vertex projections of integral homology sphere
+semigroups and the Poincare series split into polynomial and negative parts.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 from dataclasses import dataclass
@@ -89,9 +90,6 @@ class Link:
     def in_semigroup(self, ell: int) -> bool:
         return ell >= self.ap.apery[ell % self.inv.alpha]
 
-    def in_module(self, ell: int) -> bool:
-        return self.n(ell) >= -1
-
     @cached_property
     def module(self) -> ModuleData:
         """min(M), max(Z \\ M) and whether M = min(M) + S: m_r = min(M) + Ap[(r - min(M)) mod alpha] for all r."""
@@ -124,25 +122,6 @@ class Link:
 def as_link(x: Link | SeifertData) -> Link:
     """``x`` itself if it is a Link, else the Link of the Seifert data ``x``."""
     return x if isinstance(x, Link) else Link(x)
-
-
-class SemigroupView:
-    """Membership view of the semigroup (kind="semigroup") or module (kind="module")."""
-
-    def __init__(self, link: Link | SeifertData, kind: str = "semigroup"):
-        if kind not in ("semigroup", "module"):
-            raise ValueError(f"unknown kind {kind!r}")
-        self.link = as_link(link)
-        self.sf = self.link.sf
-        self.kind = kind
-
-    def __contains__(self, ell: int) -> bool:
-        if self.kind == "semigroup":
-            return self.link.in_semigroup(ell)
-        return self.link.in_module(ell)
-
-    def members(self, lo: int, hi: int) -> list[int]:
-        return [ell for ell in range(lo, hi + 1) if ell in self]
 
 
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
@@ -213,15 +192,15 @@ def min_module(link: Link | SeifertData) -> int:
     return as_link(link).module.min
 
 
+def selmer(apery: tuple[int, ...]) -> AperyData:
+    """Selmer's formulas on Ap(S, m), m = len(apery): f = max(Ap) - m, gaps = (sum(Ap) - m(m - 1)/2)/m."""
+    m = len(apery)
+    return AperyData(apery=apery, frobenius=max(apery) - m, gaps=(sum(apery) - m * (m - 1) // 2) // m)
+
+
 def apery_selmer(link: Link | SeifertData) -> AperyData:
     """Apery set with respect to alpha, Selmer Frobenius number, gap count."""
-    link = as_link(link)
-    alpha, apery = link.inv.alpha, tuple(link.least(0))
-    return AperyData(
-        apery=apery,
-        frobenius=max(apery) - alpha,
-        gaps=(sum(apery) - alpha * (alpha - 1) // 2) // alpha,
-    )
+    return selmer(tuple(as_link(link).least(0)))
 
 
 def gap_window(sf: SeifertData) -> bytes:
@@ -282,35 +261,48 @@ def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:
     return table
 
 
-def frobenius_of_generators(gens: Sequence[int]) -> int:
-    """Frobenius number of the monoid generated by ``gens`` (gcd must be 1).
+def monoid_apery(gens: Sequence[int]) -> tuple[int, ...]:
+    """Ap(S, m) of the monoid S generated by ``gens``, m = min(gens) (gcd must be 1).
 
-    Sieves up to the lcm bound (d-1)*lcm - sum, which dominates the Frobenius
-    number of any coprime system; the window above the result is checked to
-    be fully inside the monoid.
+    Ap[r] is the least element of S in the class r mod m: the shortest path
+    from class 0 to class r when each generator g is an edge r -> r + g of
+    weight g (Nijenhuis, Amer. Math. Monthly 86, 1979).  A path's weight
+    lies in the class it ends in, so Dijkstra's heap holds weights alone.
     """
     gens = sorted(set(int(g) for g in gens))
     if not gens or gens[0] <= 0:
         raise ValueError("generators must be positive")
     if math.gcd(*gens) != 1:
         raise ValueError("gcd of the generators must be 1")
-    bound = (len(gens) - 1) * math.lcm(*gens) - sum(gens)
-    hi = max(bound, 0) + gens[0]
-    table = monoid_sieve(gens, hi)
-    if not all(table[i] for i in range(hi - gens[0] + 1, hi + 1)):
-        raise VerificationError(f"the monoid of {gens} has a gap above its Frobenius bound {bound}")
-    return max((i for i in range(hi + 1) if not table[i]), default=-1)
+    m, steps = gens[0], gens[1:]
+    apery, heap = [-1] * m, [0]
+    while heap:
+        w = heapq.heappop(heap)
+        if apery[w % m] < 0:
+            apery[w % m] = w
+            for g in steps:
+                if apery[(w + g) % m] < 0:
+                    heapq.heappush(heap, w + g)
+    return tuple(apery)
+
+
+def frobenius_of_generators(gens: Sequence[int]) -> int:
+    """Frobenius number of the monoid generated by ``gens`` (gcd must be 1): Selmer's max(Ap) - m.
+
+    The lcm bound (d-1)*lcm - sum dominates the Frobenius number of any
+    coprime system of d distinct generators; a value above it is a fault.
+    """
+    f = selmer(monoid_apery(gens)).frobenius
+    distinct = set(int(g) for g in gens)
+    bound = (len(distinct) - 1) * math.lcm(*distinct) - sum(distinct)
+    if f > bound:
+        raise VerificationError(f"the monoid of {sorted(distinct)} has a gap {f} above its Frobenius bound {bound}")
+    return f
 
 
 def minimal_generators_of_monoid(gens: Sequence[int]) -> list[int]:
-    """Minimal generating set of the monoid S generated by ``gens``.
-
-    The sieve of :func:`minimal_generators` on Ap(S, m), m = min(gens), read
-    off the table of S on [0, f + m], where (f, f + m] meets every class mod m.
-    """
-    top = max(frobenius_of_generators(gens), 0) + min(gens)
-    m, table = min(gens), monoid_sieve(gens, top)
-    return _generators_from_apery([next(compress(range(r, top + 1, m), table[r::m])) for r in range(m)])
+    """Minimal generators of the monoid of ``gens``: the sieve of :func:`minimal_generators` on its Apery set."""
+    return _generators_from_apery(monoid_apery(gens))
 
 
 def ihs_generators(alphas: Sequence[int]) -> list[int]:

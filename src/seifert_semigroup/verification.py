@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import laufer, semigroup
+from .augment import verify_prop_comp
 from .errors import RationalLinkError, VerificationError
 from .lattice import (
     canonical_cycle,
@@ -161,8 +162,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
                 ok = False
     check("quasilinear_bounds", ok, "N(ell) - ceil(ell/alpha)*o out of range")
     start = floor_frac(inv.alpha + inv.gamma)
-    probe = range(start + 1, start + 2 * alpha + 1)
-    probe = rng.sample(list(probe), min(40, len(probe)))
+    probe = rng.sample(range(start + 1, start + 2 * alpha + 1), min(40, 2 * alpha))
     check("nonnegative_beyond_window", all(quasilinear(sf, ell) >= 0 for ell in probe),
           "N < 0 beyond alpha + gamma")
 
@@ -224,8 +224,6 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
 
     # module/semigroup comparison through the augmentation
     if inv.alpha + inv.gamma <= 3000:
-        from .augment import verify_prop_comp  # local import to avoid a cycle
-
         bound = floor_frac(inv.alpha + inv.gamma) + 10
         prop = route("augmented_module_stabilises", verify_prop_comp, sf, bound)
         if prop is not None:

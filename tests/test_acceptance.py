@@ -11,8 +11,8 @@ import time
 from fractions import Fraction as F
 
 from seifert_semigroup import (
+    Link,
     SeifertData,
-    SemigroupView,
     augment,
     bh_generators,
     bh_seifert,
@@ -129,8 +129,8 @@ def test_criterion_5_integral_homology_sphere_suite():
         assert rep.is_strongly_flat and rep.attained and rep.bound == f
         hi = f + 2 * inv.alpha
         table = monoid_sieve(gens, hi)
-        view = SemigroupView(sf)
-        assert all(bool(table[ell]) == (ell in view) for ell in range(hi + 1))
+        link = Link(sf)
+        assert all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
         sym = symmetry_report(sf)
         assert sym.symmetric and sym.module_principal  # M = -alpha + S
         assert min_module(sf) == -inv.alpha
@@ -264,7 +264,7 @@ def test_criterion_9_brieskorn_suite():
         f = frobenius_bruteforce(sf) if sf.b0 < sf.d else -1
         hi = max(f, 0) + 2 * inv.alpha
         table = monoid_sieve(gens, hi)
-        view = SemigroupView(sf)
-        assert all(bool(table[ell]) == (ell in view) for ell in range(hi + 1))
+        link = Link(sf)
+        assert all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
         assert minimal_generators_of_monoid(gens) == gens
     print("PASS criterion 9: Brieskorn-Hamm generators validated and minimal")

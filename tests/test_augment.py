@@ -22,9 +22,10 @@ from seifert_semigroup import (
     zk_identity_check,
 )
 from seifert_semigroup.augment import _prop_comp_once, quasilinear_shift_holds
+from seifert_semigroup.seifert import quasilinear_values
 from seifert_semigroup.verification import random_seifert
 
-from conftest import seeded_rng
+from conftest import count_calls, seeded_rng
 
 
 def test_augment_builds_golden_pair(sf_base4, sf_star70):
@@ -130,15 +131,39 @@ def test_prop_comp_golden(sf_base4):
 
 def test_prop_comp_84_interpretation(sf_gor7):
     """The seven-leg graph is the 84-augmentation of its six-leg base, but 84
-    sits below the sufficiency threshold gamma - s + alpha = 85: membership
-    differs exactly at level 85.  The adaptive search clears the threshold."""
+    sits below the adaptive start value gamma - s + alpha = 85: membership
+    differs exactly at level 85.  The adaptive search clears it."""
     base = SeifertData(2, ((2, 1), (2, 1), (3, 1), (3, 1), (7, 1), (7, 1)))
     pair = augment(base, 84)
     assert pair.augmented == sf_gor7
-    ok, detail = _prop_comp_once(pair, 300, frobenius_bruteforce(base))
+    gaps = bytes(map((0).__gt__, quasilinear_values(base, range(301))))
+    assert gaps.rfind(1) == frobenius_bruteforce(base)
+    ok, detail = _prop_comp_once(pair, gaps, gaps.rfind(1))
     assert not ok and "ell = 85" in detail
     report = verify_prop_comp(base, 300)
     assert report.passed and report.n_used >= 85
+
+
+def test_prop_comp_start_value_can_fall_short():
+    """The adaptive start n = 20 is not enough here: membership first agrees at n = 40."""
+    sf = SeifertData(1, ((18, 5), (6, 1), (2, 1)))
+    report20 = verify_prop_comp(sf, 33, n=20)
+    assert not report20.passed and "membership differs at ell = 21" in report20.detail
+    report = verify_prop_comp(sf, 33)
+    assert report.passed and report.n_used == 40
+
+
+def test_prop_comp_scans_the_base_once(monkeypatch, sf_base4):
+    calls = count_calls(monkeypatch, quasilinear_values)
+    assert verify_prop_comp(sf_base4, 300).passed
+    assert [args[1] for args in calls if args[0] == sf_base4] == [range(301)]
+
+
+def test_prop_comp_bound_must_reach_the_window(sf_base4):
+    inv = invariants(sf_base4)  # alpha + gamma = 73
+    with pytest.raises(ValueError):
+        verify_prop_comp(sf_base4, int(inv.alpha + inv.gamma) - 1)
+    assert verify_prop_comp(sf_base4, int(inv.alpha + inv.gamma)).passed
 
 
 def test_prop_comp_trivial_base():

@@ -11,7 +11,6 @@ import pytest
 from seifert_semigroup import (
     Link,
     SeifertData,
-    SemigroupView,
     VerificationError,
     bh_generators,
     bh_seifert,
@@ -90,8 +89,8 @@ def test_generator_membership_equivalence(exponents):
     f = frobenius_bruteforce(sf) if sf.b0 < sf.d else -1
     hi = max(f, 0) + 2 * inv.alpha
     table = monoid_sieve(gens, hi)
-    view = SemigroupView(sf)
-    assert all(bool(table[ell]) == (ell in view) for ell in range(hi + 1))
+    link = Link(sf)
+    assert all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
 
 
 @pytest.mark.parametrize("exponents", [(2, 3, 7), (6, 10, 7), (6, 10, 14)])

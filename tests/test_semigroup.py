@@ -1,12 +1,16 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from seifert_semigroup import (
+    Link,
     RationalLinkError,
-    SemigroupView,
     TrivialSemigroupError,
     VerificationError,
     apery_selmer,
@@ -35,6 +39,8 @@ from seifert_semigroup.semigroup import (
     frobenius_of_generators,
     gap_count_direct,
     minimal_generators_of_monoid,
+    monoid_apery,
+    selmer,
 )
 from seifert_semigroup.verification import random_seifert
 
@@ -74,8 +80,8 @@ def test_trivial_iff_first_level():
     for _ in range(20):
         sf = random_seifert(rng, max_alpha=12, alpha_cap=10**6, window_cap=10**9)
         assert quasilinear(sf, 1) == sf.b0 - sf.d
-        view = SemigroupView(sf)
-        all_of_n = all(ell in view for ell in range(1, 3 * invariants(sf).alpha))
+        link = Link(sf)
+        all_of_n = all(link.in_semigroup(ell) for ell in range(1, 3 * invariants(sf).alpha))
         assert all_of_n == (sf.b0 >= sf.d)
 
 
@@ -133,12 +139,12 @@ def test_apery_properties(sf_base4, sf_asym5, sf_237):
     for sf in (sf_base4, sf_asym5, sf_237):
         inv = invariants(sf)
         ap = apery_selmer(sf)
-        view = SemigroupView(sf)
+        link = Link(sf)
         assert len(ap.apery) == inv.alpha
         assert sorted(w % inv.alpha for w in ap.apery) == list(range(inv.alpha))
         for w in ap.apery:
-            assert w in view
-            assert w - inv.alpha not in view
+            assert link.in_semigroup(w)
+            assert not link.in_semigroup(w - inv.alpha)
         assert ap.frobenius == frobenius_bruteforce(sf)
         assert ap.gaps == gap_count_direct(sf)
 
@@ -165,8 +171,8 @@ def test_minimal_generators_regenerate_membership():
         inv = invariants(sf)
         hi = f + 2 * inv.alpha
         table = monoid_sieve(gens, hi)
-        view = SemigroupView(sf)
-        assert all(bool(table[ell]) == (ell in view) for ell in range(hi + 1))
+        link = Link(sf)
+        assert all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
         # minimality: removing any generator loses an element
         for g in gens:
             rest = [x for x in gens if x != g]
@@ -180,15 +186,14 @@ def test_closure_properties(sf_base4, sf_asym5):
     rng = seeded_rng(31)
     for sf in (sf_base4, sf_asym5):
         inv = invariants(sf)
-        view = SemigroupView(sf)
-        module = SemigroupView(sf, "module")
-        members = view.members(0, 3 * inv.alpha)
-        module_members = module.members(min_module(sf), 2 * inv.alpha)
+        link = Link(sf)
+        members = [ell for ell in range(3 * inv.alpha + 1) if link.in_semigroup(ell)]
+        module_members = [ell for ell in range(min_module(sf), 2 * inv.alpha + 1) if link.n(ell) >= -1]
         for _ in range(200):
             a, b = rng.choice(members), rng.choice(members)
-            assert a + b in view
+            assert link.in_semigroup(a + b)
             m = rng.choice(module_members)
-            assert m + a in module
+            assert link.n(m + a) >= -1
 
 
 def test_strongly_flat():
@@ -298,10 +303,9 @@ def test_gorenstein_symmetry_check(sf_237, sf_gor7, sf_star70, sf_e8):
 
 def test_level_set_between_semigroup_and_module(sf_asym5):
     """{N = -1} is the difference between the module and the semigroup."""
-    view = SemigroupView(sf_asym5)
-    module = SemigroupView(sf_asym5, "module")
+    link = Link(sf_asym5)
     for ell in range(-20, 80):
-        in_diff = (ell in module) and (ell not in view)
+        in_diff = link.n(ell) >= -1 and not link.in_semigroup(ell)
         assert in_diff == (quasilinear(sf_asym5, ell) == -1)
 
 
@@ -322,9 +326,9 @@ def test_monoid_membership_equals_end_dual_projections(sf_237):
                 for v in range(g.n)
             )
             reachable.add(value)
-    view = SemigroupView(sf_237)
+    link = Link(sf_237)
     for ell in range(hi + 1):
-        assert (ell in reachable) == (ell in view)
+        assert (ell in reachable) == link.in_semigroup(ell)
 
 
 def test_frobenius_of_generators_matches_sylvester():
@@ -337,6 +341,61 @@ def test_frobenius_of_generators_matches_sylvester():
         assert frobenius_of_generators([a, b]) == a * b - a - b
     # 20 = 6 + 14 and 27 = 6 + 21 are redundant
     assert minimal_generators_of_monoid([6, 14, 21, 20, 27]) == [6, 14, 21]
+
+
+def test_generators_far_below_their_lcm_bound():
+    """Generators 15..29 have f = 14 and an lcm bound of 14 digits.
+
+    Run under a 1 GiB address-space limit, so a sieve up to the bound fails
+    at once with MemoryError instead of paging the host.
+    """
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from seifert_semigroup import semigroup\n"
+        "gens = list(range(15, 30))\n"
+        "print(semigroup.frobenius_of_generators(gens), semigroup.minimal_generators_of_monoid(gens) == gens,"
+        " semigroup.strongly_flat_check(gens).frobenius)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["14", "True", "14"]
+
+
+def test_generator_side_agrees_with_the_link():
+    """The generators of a Link, read back through monoid_apery, give its f, gap count and generators."""
+    rng = seeded_rng(44)
+    checked = 0
+    while checked < 40:
+        sf = random_seifert(rng)
+        if sf.trivial:
+            continue
+        checked += 1
+        link = Link(sf)
+        gens = minimal_generators(link)
+        assert frobenius_of_generators(gens) == link.ap.frobenius, sf
+        assert selmer(monoid_apery(gens)).gaps == link.ap.gaps, sf
+        assert minimal_generators_of_monoid(gens) == gens, sf
+
+
+def test_monoid_apery_matches_the_sieve():
+    rng = seeded_rng(45)
+    checked = 0
+    while checked < 200:
+        gens = [rng.randint(1, 30) for _ in range(rng.randint(1, 5))]
+        if math.gcd(*gens) != 1:
+            continue
+        checked += 1
+        m, apery = min(gens), monoid_apery(gens)
+        hi = max(apery) + m
+        assert [ell >= apery[ell % m] for ell in range(hi + 1)] == list(map(bool, monoid_sieve(gens, hi))), gens
+    for bad in ([], [0, 3], [-2, 3], [4, 6]):
+        with pytest.raises(ValueError):
+            monoid_apery(bad)
 
 
 # ---------------------------------------------------------------------------
