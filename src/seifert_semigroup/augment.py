@@ -11,11 +11,10 @@ key exact identities:
 * the projection formula (j*(l'), l) = (l', j(l));
 * j*(E_+) = -E_0^* and j*(j(E_v)) = E_v.
 
-For n large enough the module of the augmented link stabilises to the
-semigroup of the base link; :func:`verify_prop_comp` checks this window by
-window, growing n adaptively, and cross-checks the module Frobenius number
-of the augmented graph against the brute-force semigroup Frobenius number
-of the base, read off one scan of the base.
+For n >= n* (:func:`threshold`) the augmented module meets Z>=0 in exactly
+the semigroup of the base link.  :func:`verify_prop_comp` tests n*, and that
+n* - 1 fails, against gap flags the caller scanned off the base, and checks
+the module Frobenius number of the augmented graph against their last gap.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 
 from . import laufer
 from .errors import RationalLinkError
 from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
-from .seifert import SeifertData, ceil_frac, floor_frac, quasilinear_values
+from .seifert import SeifertData, floor_frac, quasilinear_values
+from .semigroup import Link, as_link
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,22 @@ def quasilinear_shift_holds(pair: AugmentedPair, lo: int, hi: int) -> bool:
     return all(map(operator.eq, quasilinear_values(pair.base, ells), shifted))
 
 
+def threshold(link: Link | SeifertData) -> int:
+    """n*, the least admissible n at which M_(n) meets Z>=0 in exactly S.
+
+    By N(ell) = N_(n)(ell) + ceil(ell/n) no gap of S lies in M_(n), and ell in
+    S does iff n >= ell/(N(ell) + 1).  For ell = w + q*alpha, w = Ap[r], that
+    ratio is monotone in q and tends to alpha/o = 1/|e|, below the least
+    admissible n, floor(1/|e|) + 1 (or 2).  So n* is the largest of those two
+    and of ceil(Ap[r]/(N(Ap[r]) + 1)) over r != 0, N(Ap[r]) = N(r) mod o.
+    """
+    link = as_link(link)
+    o = link.inv.orbit_order
+    levels_plus_one = map((1).__add__, map(operator.mod, islice(link.n.base, 1, None), repeat(o)))
+    neg_ratios = map(operator.floordiv, map(operator.neg, islice(link.ap.apery, 1, None)), levels_plus_one)
+    return max(-min(neg_ratios, default=0), floor_frac(1 / (-link.inv.e)) + 1, 2)
+
+
 @dataclass(frozen=True)
 class PropCompReport:
     n_used: int
@@ -121,41 +137,31 @@ class PropCompReport:
     detail: str = ""
 
 
-def verify_prop_comp(sf: SeifertData, bound: int, n: int | None = None) -> PropCompReport:
-    """Check that the augmented module equals the base semigroup on [0, bound].
+def verify_prop_comp(link: Link | SeifertData, gaps: bytes, n: int | None = None) -> PropCompReport:
+    """Check that M_(n) meets the window of ``gaps`` (1 at each gap of S, from ell = 0) in S.
 
-    With ``n`` given, that single augmentation is tested.  Otherwise n starts
-    at max(ceil(1/|e|) + 1, ceil(gamma - s + alpha) + 1), s read off
-    ``sf.graph.scalars``, and doubles on failure, at most four times; the
-    start value is not sufficient on every record.  For a nontrivial base the
-    module Frobenius number of the augmented graph (lattice formula) must
-    also equal that of the base semigroup, the last gap of one brute scan of
-    the base on [0, bound]; ``bound`` must reach floor(alpha + gamma), past
-    which there is no gap, or this raises ``ValueError``.
+    ``gaps`` are the bytes of :func:`~seifert_semigroup.semigroup.gap_window`,
+    or longer.  With ``n`` given, only that n is tested.  Otherwise n*
+    (:func:`threshold`) must pass and, for a non-trivial base, n* - 1 must
+    fail when admissible: then an Ap[r] sets n* and is missing from
+    M_(n* - 1), in the window or above f_S.  For a non-trivial base the
+    augmented module Frobenius number (lattice formula) must equal f_S, the
+    last gap in ``gaps``, which must reach floor(alpha + gamma), past which
+    S has no gap, or this raises ``ValueError``.
     """
-    inv = sf.inv
+    link = as_link(link)
+    sf, inv = link.sf, link.inv
     window = floor_frac(inv.alpha + inv.gamma)
-    if not sf.trivial and bound < window:
-        raise ValueError(f"bound {bound} is below floor(alpha + gamma) = {window}")
-    if n is not None:
-        candidates = [n]
-    else:
-        sc = sf.graph.scalars
-        start = max(
-            ceil_frac(1 / (-inv.e)) + 1,
-            ceil_frac(inv.gamma - sc.s + inv.alpha) + 1,
-        )
-        candidates = [start * (1 << k) for k in range(5)]
-    base_gaps = bytes(map((0).__gt__, quasilinear_values(sf, range(bound + 1))))
-    f_base = None if sf.trivial else base_gaps.rfind(1)
-    last_detail = ""
-    for cand in candidates:
-        pair = augment(sf, cand)
-        ok, detail = _prop_comp_once(pair, base_gaps, f_base)
-        if ok:
-            return PropCompReport(n_used=cand, passed=True)
-        last_detail = detail
-    return PropCompReport(n_used=candidates[-1], passed=False, detail=last_detail)
+    if not sf.trivial and len(gaps) <= window:
+        raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(alpha + gamma) = {window}")
+    f_base = None if sf.trivial else gaps.rfind(1)
+    n_used = threshold(link) if n is None else n
+    ok, detail = _prop_comp_once(augment(sf, n_used), gaps, f_base)
+    below = n_used - 1
+    if ok and n is None and f_base is not None and below >= 2 and sf.e + Fraction(1, below) < 0:
+        if _prop_comp_once(augment(sf, below), gaps, f_base)[0]:
+            ok, detail = False, f"n = {below} below the threshold {n_used} passes too"
+    return PropCompReport(n_used=n_used, passed=ok, detail=detail)
 
 
 def _prop_comp_once(pair: AugmentedPair, base_gaps: bytes, f_base: int | None) -> tuple[bool, str]:

@@ -268,8 +268,12 @@ def monoid_apery(gens: Sequence[int]) -> tuple[int, ...]:
     from class 0 to class r when each generator g is an edge r -> r + g of
     weight g (Nijenhuis, Amer. Math. Monthly 86, 1979).  A path's weight
     lies in the class it ends in, so Dijkstra's heap holds weights alone.
+    Every generator must be of type int: 2.5, 2.0 and True are refused, not coerced.
     """
-    gens = sorted(set(int(g) for g in gens))
+    bad = next((g for g in gens if type(g) is not int), None)  # bool is a subclass of int
+    if bad is not None:
+        raise ValueError(f"generators must be integers, got {bad!r}")
+    gens = sorted(set(gens))
     if not gens or gens[0] <= 0:
         raise ValueError("generators must be positive")
     if math.gcd(*gens) != 1:
@@ -293,7 +297,7 @@ def frobenius_of_generators(gens: Sequence[int]) -> int:
     coprime system of d distinct generators; a value above it is a fault.
     """
     f = selmer(monoid_apery(gens)).frobenius
-    distinct = set(int(g) for g in gens)
+    distinct = set(gens)  # integers: monoid_apery checked them
     bound = (len(distinct) - 1) * math.lcm(*distinct) - sum(distinct)
     if f > bound:
         raise VerificationError(f"the monoid of {sorted(distinct)} has a gap {f} above its Frobenius bound {bound}")
@@ -331,16 +335,14 @@ def strongly_flat_check(gens: Sequence[int]) -> StronglyFlatReport:
     i.  The bound is (d-1)*lcm(a) - sum(a); ``attained`` reports whether the
     actual Frobenius number reaches it.
     """
-    a = [int(x) for x in gens]
-    if len(a) < 2 or any(x <= 0 for x in a):
+    a = list(gens)
+    if len(a) < 2:
         raise ValueError("need at least two positive generators")
-    if math.gcd(*a) != 1:
-        raise ValueError("gcd of the generators must be 1")
+    frob = frobenius_of_generators(a)  # refuses non-integer and non-positive generators, and gcd > 1
     comp = tuple(math.gcd(*(a[:i] + a[i + 1 :])) for i in range(len(a)))
     prod_all = math.prod(comp)
     flat = all(a[i] * comp[i] == prod_all for i in range(len(a)))
     bound = (len(a) - 1) * math.lcm(*a) - sum(a)
-    frob = frobenius_of_generators(a)
     return StronglyFlatReport(
         is_strongly_flat=flat,
         bound=bound,

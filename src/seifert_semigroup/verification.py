@@ -28,7 +28,7 @@ from .lattice import (
     vertex_pairings,
     zero_cycle,
 )
-from .seifert import SeifertData, ceil_frac, floor_frac, quasilinear
+from .seifert import SeifertData, ceil_div, floor_frac, quasilinear
 from .semigroup import (
     Link,
     frobenius_bruteforce,
@@ -150,17 +150,9 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         "N(ell + alpha) != N(ell) + o",
     )
     lo_bound = -(alpha - 1) * (-inv.e) - sf.d
-    ok = True
-    for ell in sample:
-        if ell % alpha == 0:
-            q = ell // alpha
-            if quasilinear(sf, ell) != q * o:
-                ok = False
-        else:
-            diff = quasilinear(sf, ell) - ceil_frac(Fraction(ell, alpha)) * o
-            if not (lo_bound <= diff <= -1):
-                ok = False
-    check("quasilinear_bounds", ok, "N(ell) - ceil(ell/alpha)*o out of range")
+    diffs = ((ell % alpha, quasilinear(sf, ell) - ceil_div(ell, alpha) * o) for ell in sample)
+    check("quasilinear_bounds", all(lo_bound <= diff <= -1 if r else diff == 0 for r, diff in diffs),
+          "N(ell) - ceil(ell/alpha)*o out of range")
     start = floor_frac(inv.alpha + inv.gamma)
     probe = rng.sample(range(start + 1, start + 2 * alpha + 1), min(40, 2 * alpha))
     check("nonnegative_beyond_window", all(quasilinear(sf, ell) >= 0 for ell in probe),
@@ -172,22 +164,19 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         if rng.random() < 0.5:
             start_cycle = r_of_class(class_rep(zk))
         else:
-            mix = zero_cycle(g.n)
-            for v in range(g.n):
-                mix = mix + rng.randint(0, 2) * duals[v]
-            start_cycle = r_of_class(class_rep(mix))
+            start_cycle = r_of_class(class_rep(sum((rng.randint(0, 2) * d for d in duals), zero_cycle(g.n))))
         endpoints = {
             laufer.to_antinef(g, start_cycle, strategy="min")[0],
             laufer.to_antinef(g, start_cycle, strategy="max")[0],
             laufer.to_antinef(g, start_cycle, strategy="random", rng=rng, trace=True)[0],
         }
-        if len(endpoints) != 1:
-            ok = False
+        ok &= len(endpoints) == 1
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
     # theorem vs brute force: one period table against one brute scan of N over [0, alpha + gamma]
     link = Link(sf)
     ap = link.ap
+    check_augmentation = inv.alpha + inv.gamma <= 3000  # that check reuses the table and the scan
     if not sf.trivial:
         f_formula = route("semigroup_frobenius_agreement", frobenius_by_formula, sf)
         gaps = gap_window(sf)
@@ -207,7 +196,9 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     else:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
-    del link, ap  # free the table before the augmentation checks, which need memory of their own
+        gaps = bytes(start + 1)  # gap_window(sf): S = Z>=0 has no gap
+    if not check_augmentation:
+        del link, ap  # free the table before the module checks, which need memory of their own
     # both module routes decide rationality, so they are compared on every record
     fm_formula = route("module_frobenius_agreement", rational_or, laufer.frobenius_module, g)
     if fm_formula is not None:
@@ -223,9 +214,8 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
             check("ladder_duality", rep.passed, "; ".join(rep.failures))
 
     # module/semigroup comparison through the augmentation
-    if inv.alpha + inv.gamma <= 3000:
-        bound = floor_frac(inv.alpha + inv.gamma) + 10
-        prop = route("augmented_module_stabilises", verify_prop_comp, sf, bound)
+    if check_augmentation:
+        prop = route("augmented_module_stabilises", verify_prop_comp, link, gaps)
         if prop is not None:
             check("augmented_module_stabilises", prop.passed, prop.detail)
 

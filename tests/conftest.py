@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from seifert_semigroup import SeifertData, StarGraph, build_graph, ihs_from_alphas
+from seifert_semigroup.seifert import quasilinear_values
 
 
 @pytest.fixture
@@ -52,6 +53,11 @@ def golden_graphs(sf_star70, sf_base4, sf_asym5, sf_gor7, sf_237):
 
 def seeded_rng(tag: int) -> random.Random:
     return random.Random(20260809 + tag)
+
+
+def gap_flags(sf, hi: int) -> bytes:
+    """One byte per ell in [0, hi], 1 at a gap of the semigroup of ``sf``, by a direct scan of N."""
+    return bytes(map((0).__gt__, quasilinear_values(sf, range(hi + 1))))
 
 
 def count_calls(monkeypatch, fn) -> list[tuple]:

@@ -50,6 +50,8 @@ from seifert_semigroup.lattice import intersection_matrix, pairing_with_vertex
 from seifert_semigroup.semigroup import apery_selmer, gap_count_direct, minimal_generators_of_monoid
 from seifert_semigroup.verification import random_coprime_alphas, random_seifert
 
+from conftest import gap_flags
+
 SEED = 20260809
 
 SF_STAR70 = SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1), (70, 1)))
@@ -240,16 +242,15 @@ def test_criterion_8_augmentation_suite():
         lp = cycle([F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(gn.n)])
         l = cycle([rng.randint(-4, 4) for _ in range(g.n)])
         assert pairing(g, pair.project(lp), l) == pairing(gn, lp, pair.include(l))
-    assert verify_prop_comp(SF_BASE4, 300, n=70).passed  # the explicit claim for n = 70
-    adaptive = verify_prop_comp(SF_BASE4, 300)
-    assert adaptive.passed
+    assert verify_prop_comp(SF_BASE4, gap_flags(SF_BASE4, 300), n=70).passed  # the explicit claim for n = 70
+    assert verify_prop_comp(SF_BASE4, gap_flags(SF_BASE4, 300)).passed  # at n*, failing at n* - 1
     for _ in range(6):
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         pair = augment(sf, max(2, int(1 / (-sf.e)) + 2 + rng.randint(0, 3)))
         assert quasilinear_shift_holds(pair, -50, 2 * invariants(sf).alpha)
         assert zk_identity_check(pair).passed
         bound = int(invariants(sf).alpha + invariants(sf).gamma) + 5
-        assert verify_prop_comp(sf, bound).passed
+        assert verify_prop_comp(sf, gap_flags(sf, bound)).passed
     elapsed = time.time() - started
     print(f"PASS criterion 8: augmentation identities and module stabilisation exact ({elapsed:.1f}s)")
 

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seifert_semigroup import (
     SeifertData,
@@ -21,11 +23,12 @@ from seifert_semigroup import (
     verify_prop_comp,
     zk_identity_check,
 )
-from seifert_semigroup.augment import _prop_comp_once, quasilinear_shift_holds
+from seifert_semigroup.augment import _prop_comp_once, quasilinear_shift_holds, threshold
 from seifert_semigroup.seifert import quasilinear_values
+from seifert_semigroup.semigroup import Link, gap_window
 from seifert_semigroup.verification import random_seifert
 
-from conftest import count_calls, seeded_rng
+from conftest import count_calls, gap_flags, seeded_rng
 
 
 def test_augment_builds_golden_pair(sf_base4, sf_star70):
@@ -122,53 +125,93 @@ def test_projected_minimal_representative_is_minimal(sf_base4):
 
 
 def test_prop_comp_golden(sf_base4):
-    report = verify_prop_comp(sf_base4, 300)
+    report = verify_prop_comp(sf_base4, gap_flags(sf_base4, 300))
     assert report.passed
     # the explicit claim: n = 70 is already big enough
-    report70 = verify_prop_comp(sf_base4, 300, n=70)
+    report70 = verify_prop_comp(sf_base4, gap_flags(sf_base4, 300), n=70)
     assert report70.passed and report70.n_used == 70
 
 
 def test_prop_comp_84_interpretation(sf_gor7):
     """The seven-leg graph is the 84-augmentation of its six-leg base, but 84
-    sits below the adaptive start value gamma - s + alpha = 85: membership
-    differs exactly at level 85.  The adaptive search clears it."""
+    sits one below the threshold n* = 85: membership differs exactly at level
+    85.  The check at n* clears it."""
     base = SeifertData(2, ((2, 1), (2, 1), (3, 1), (3, 1), (7, 1), (7, 1)))
     pair = augment(base, 84)
     assert pair.augmented == sf_gor7
-    gaps = bytes(map((0).__gt__, quasilinear_values(base, range(301))))
+    gaps = gap_flags(base, 300)
     assert gaps.rfind(1) == frobenius_bruteforce(base)
     ok, detail = _prop_comp_once(pair, gaps, gaps.rfind(1))
     assert not ok and "ell = 85" in detail
-    report = verify_prop_comp(base, 300)
-    assert report.passed and report.n_used >= 85
+    report = verify_prop_comp(base, gaps)
+    assert report.passed and report.n_used == 85
 
 
-def test_prop_comp_start_value_can_fall_short():
-    """The adaptive start n = 20 is not enough here: membership first agrees at n = 40."""
+def test_prop_comp_threshold_lies_above_the_old_start_value():
+    """The old adaptive start n = 20 is not enough here; the threshold is n* = 37."""
     sf = SeifertData(1, ((18, 5), (6, 1), (2, 1)))
-    report20 = verify_prop_comp(sf, 33, n=20)
+    report20 = verify_prop_comp(sf, gap_flags(sf, 33), n=20)
     assert not report20.passed and "membership differs at ell = 21" in report20.detail
-    report = verify_prop_comp(sf, 33)
-    assert report.passed and report.n_used == 40
+    report = verify_prop_comp(sf, gap_flags(sf, 33))
+    assert report.passed and report.n_used == 37
 
 
-def test_prop_comp_scans_the_base_once(monkeypatch, sf_base4):
+@pytest.mark.parametrize(
+    "sf, n_star, message",
+    [
+        (SeifertData(1, ((18, 5), (6, 1), (2, 1))), 37, "module Frobenius 37 != semigroup Frobenius 19"),
+        (SeifertData(2, ((2, 1), (2, 1), (3, 1), (3, 1), (7, 1), (7, 1))), 85, "ell = 85"),
+        (SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1))), 6, "ell = 6"),
+    ],
+    ids=["18-6-2", "gor7-base", "base4"],
+)
+def test_threshold_pinned(sf, n_star, message):
+    """n* on three records; one below it the check fails with the message of the explicit run."""
+    gaps = gap_window(sf)
+    assert threshold(sf) == threshold(Link(sf)) == n_star
+    assert verify_prop_comp(sf, gaps).n_used == n_star
+    below = verify_prop_comp(sf, gaps, n=n_star - 1)
+    assert not below.passed and message in below.detail
+
+
+@st.composite
+def small_records(draw):
+    """Seeded random_seifert draws with alpha at most 60; every third made trivial (b0 = d)."""
+    sf = random_seifert(random.Random(draw(st.integers(0, 2**32 - 1))), max_legs=4, max_alpha=6)
+    return SeifertData(sf.d, sf.legs) if draw(st.integers(0, 2)) == 0 else sf
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_records())
+def test_threshold_is_the_least_passing_n(sf):
+    """n* is the least admissible n whose augmented module meets Z>=0 in S.
+    The window reaches past alpha^2, where a trivial base shows a missing
+    multiple of alpha below n* (no Frobenius comparison covers it)."""
+    inv = invariants(sf)
+    gaps = gap_flags(sf, int(inv.alpha + inv.gamma) + inv.alpha * (inv.alpha + 2))
+    n = max(2, int(1 / (-inv.e)) + 1)
+    while not verify_prop_comp(sf, gaps, n=n).passed:
+        n += 1
+    assert threshold(Link(sf)) == n
+
+
+def test_prop_comp_does_not_scan_the_base(monkeypatch, sf_base4):
+    gaps = gap_flags(sf_base4, 300)
     calls = count_calls(monkeypatch, quasilinear_values)
-    assert verify_prop_comp(sf_base4, 300).passed
-    assert [args[1] for args in calls if args[0] == sf_base4] == [range(301)]
+    assert verify_prop_comp(sf_base4, gaps).passed
+    assert [args for args in calls if args[0] == sf_base4] == []
 
 
 def test_prop_comp_bound_must_reach_the_window(sf_base4):
     inv = invariants(sf_base4)  # alpha + gamma = 73
     with pytest.raises(ValueError):
-        verify_prop_comp(sf_base4, int(inv.alpha + inv.gamma) - 1)
-    assert verify_prop_comp(sf_base4, int(inv.alpha + inv.gamma)).passed
+        verify_prop_comp(sf_base4, gap_flags(sf_base4, int(inv.alpha + inv.gamma) - 1))
+    assert verify_prop_comp(sf_base4, gap_flags(sf_base4, int(inv.alpha + inv.gamma))).passed
 
 
 def test_prop_comp_trivial_base():
     sf = SeifertData(4, ((2, 1), (3, 2), (5, 4)))  # b0 >= d: semigroup is N
-    report = verify_prop_comp(sf, 120, n=40)
+    report = verify_prop_comp(sf, gap_flags(sf, 120), n=40)
     assert report.passed
 
 
@@ -178,5 +221,5 @@ def test_prop_comp_random():
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         inv = invariants(sf)
         bound = int(inv.alpha + inv.gamma) + 5
-        report = verify_prop_comp(sf, bound)
+        report = verify_prop_comp(sf, gap_flags(sf, bound))
         assert report.passed, report.detail

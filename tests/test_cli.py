@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import json
 import os
@@ -183,15 +184,17 @@ def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
 
 
 def test_verify_scans_the_semigroup_window_once(monkeypatch):
-    """The brute Frobenius number and gap count come off one scan of N over
-    [0, alpha + gamma]; here alpha + gamma = 4311, past the augmentation check."""
-    sf = ihs_from_alphas((11, 13, 17))
-    top = floor_frac(sf.inv.alpha + sf.inv.gamma)
+    """The brute Frobenius number, the gap count and the augmentation check
+    come off one scan of N over [0, alpha + gamma]: alpha + gamma = 4311 is
+    past the augmentation check, and 73 (SEC5) is within it."""
     calls = count_calls(monkeypatch, seifert.quasilinear_values)
-    results = verification.verify_seifert(sf, random.Random(0))
-    assert top > 3000 and all(r.passed for r in results)
-    covering = [ells for arg, ells in calls if arg is sf and min(ells) <= 1 and max(ells) >= top]
-    assert len(covering) == 1
+    for sf in (ihs_from_alphas((11, 13, 17)), SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1)))):
+        top = floor_frac(sf.inv.alpha + sf.inv.gamma)
+        results = verification.verify_seifert(sf, random.Random(0))
+        assert (top > 3000) == ("augmented_module_stabilises" not in {r.name for r in results})
+        assert all(r.passed for r in results)
+        covering = [ells for arg, ells in calls if arg is sf and min(ells) <= 1 and max(ells) >= top]
+        assert len(covering) == 1
 
 
 @pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
@@ -324,6 +327,19 @@ def test_bad_record_is_input_error(capsys):
     assert code == 1
     code = main(["frobenius", '{"bh":[4,4,4]}'])
     assert code == 1
+
+
+@pytest.mark.parametrize("shift", [1, -1], ids=["above", "below"])
+def test_verify_fails_a_planted_threshold_fault(shift, monkeypatch, capsys):
+    """Planted one above n*, the check passes one below the planted value too;
+    planted one below n*, it fails there.  Either way verify fails the
+    augmentation check (SEC5, n* = 6)."""
+    augment_module = importlib.import_module("seifert_semigroup.augment")
+    exact = augment_module.threshold
+    monkeypatch.setattr(augment_module, "threshold", lambda link: exact(link) + shift)
+    code, out = run_cli(capsys, "verify", SEC5)
+    fails = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")]
+    assert code == 2 and fails == ["augmented_module_stabilises"]
 
 
 def test_verify_record(capsys):

@@ -196,6 +196,17 @@ def test_closure_properties(sf_base4, sf_asym5):
             assert link.n(m + a) >= -1
 
 
+@pytest.mark.parametrize("bad", [[2.5, 3], [2.0, 3], [True, 3], [3, F(5)]], ids=["2.5", "2.0", "True", "Fraction"])
+@pytest.mark.parametrize(
+    "fn", [monoid_apery, frobenius_of_generators, minimal_generators_of_monoid, strongly_flat_check],
+    ids=lambda fn: fn.__name__,
+)
+def test_generator_functions_refuse_non_integers(fn, bad):
+    """A generator must be of type int: 2.5, 2.0, True and Fraction(5) are refused, not truncated."""
+    with pytest.raises(ValueError, match="generators must be integers"):
+        fn(bad)
+
+
 def test_strongly_flat():
     rep = strongly_flat_check([21, 14, 6])
     assert rep.is_strongly_flat and rep.bound == 43 and rep.attained
