@@ -13,7 +13,6 @@ from .augment import AugmentedPair, augment, c_n, verify_prop_comp, zk_identity_
 from .brieskorn import BHClassification, bh_generators, bh_seifert, classify
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
 from .lattice import (
-    ClassRep,
     RationalCycle,
     StarGraph,
     build_graph,
@@ -26,7 +25,6 @@ from .lattice import (
     is_antinef,
     is_negative_definite,
     pairing,
-    r_of_class,
     unit_cycle,
     zero_cycle,
 )

@@ -27,8 +27,8 @@ from itertools import compress, islice, repeat
 from . import laufer
 from .errors import RationalLinkError
 from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
-from .seifert import SeifertData, floor_frac, quasilinear_values
-from .semigroup import Link, as_link
+from .seifert import SeifertData, floor_frac, quasilinear_values, require_int
+from .semigroup import Link
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,11 @@ class AugmentedPair:
 
 def augment(sf: SeifertData, n: int) -> AugmentedPair:
     """Attach the extra leg (n, 1); requires n > 1/|e| so e + 1/n stays negative."""
-    if int(n) != n or n < 2:
+    if require_int(n, "n") < 2:
         raise ValueError("n must be an integer >= 2")
     if sf.e + Fraction(1, n) >= 0:
         raise ValueError(f"n = {n} too small: augmented Euler number would be >= 0")
-    return AugmentedPair(base=sf, n=int(n), augmented=SeifertData(sf.b0, sf.legs + ((int(n), 1),)))
+    return AugmentedPair(base=sf, n=n, augmented=SeifertData(sf.b0, sf.legs + ((n, 1),)))
 
 
 def c_n(sf: SeifertData, n: int) -> Fraction:
@@ -114,7 +114,7 @@ def quasilinear_shift_holds(pair: AugmentedPair, lo: int, hi: int) -> bool:
     return all(map(operator.eq, quasilinear_values(pair.base, ells), shifted))
 
 
-def threshold(link: Link | SeifertData) -> int:
+def threshold(link: Link) -> int:
     """n*, the least admissible n at which M_(n) meets Z>=0 in exactly S.
 
     By N(ell) = N_(n)(ell) + ceil(ell/n) no gap of S lies in M_(n), and ell in
@@ -123,7 +123,6 @@ def threshold(link: Link | SeifertData) -> int:
     admissible n, floor(1/|e|) + 1 (or 2).  So n* is the largest of those two
     and of ceil(Ap[r]/(N(Ap[r]) + 1)) over r != 0, N(Ap[r]) = N(r) mod o.
     """
-    link = as_link(link)
     o = link.inv.orbit_order
     levels_plus_one = map((1).__add__, map(operator.mod, islice(link.n.base, 1, None), repeat(o)))
     neg_ratios = map(operator.floordiv, map(operator.neg, islice(link.ap.apery, 1, None)), levels_plus_one)
@@ -137,7 +136,7 @@ class PropCompReport:
     detail: str = ""
 
 
-def verify_prop_comp(link: Link | SeifertData, gaps: bytes, n: int | None = None) -> PropCompReport:
+def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> PropCompReport:
     """Check that M_(n) meets the window of ``gaps`` (1 at each gap of S, from ell = 0) in S.
 
     ``gaps`` are the bytes of :func:`~seifert_semigroup.semigroup.gap_window`,
@@ -149,7 +148,6 @@ def verify_prop_comp(link: Link | SeifertData, gaps: bytes, n: int | None = None
     last gap in ``gaps``, which must reach floor(alpha + gamma), past which
     S has no gap, or this raises ``ValueError``.
     """
-    link = as_link(link)
     sf, inv = link.sf, link.inv
     window = floor_frac(inv.alpha + inv.gamma)
     if not sf.trivial and len(gaps) <= window:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .semigroup import minimal_generators
-from .seifert import SeifertData, from_congruence, shared_factor_pair
+from .semigroup import Link, minimal_generators
+from .seifert import SeifertData, from_congruence, require_int, shared_factor_pair
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -61,7 +61,7 @@ class BHClassification:
 
 def classify(exponents: Sequence[int]) -> BHClassification:
     """Decide which of the two rational-homology-sphere shapes fits, if any."""
-    a = tuple(int(x) for x in exponents)
+    a = tuple(require_int(x, "exponents", "integers") for x in exponents)
     if len(a) < 3:
         raise ValueError("need at least 3 exponents")
     if any(x < 2 for x in a):
@@ -148,8 +148,8 @@ def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
     return (2**cls.c * cls.p[0], 2 * cls.p[1], 2 * cls.p[2]) + cls.p[3:]
 
 
-def check_generators(link, gens: list[int]) -> None:
-    """Check that ``gens`` generate the semigroup S of ``link`` (a :class:`semigroup.Link`).
+def check_generators(link: Link, gens: list[int]) -> None:
+    """Check that ``gens`` generate the semigroup S of ``link``.
 
     They do iff each lies in S and every minimal generator of S, being no sum
     of two nonzero elements of S, is listed; a mismatch raises VerificationError.

@@ -29,7 +29,7 @@ from fractions import Fraction
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
 from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
-from .lattice import RationalCycle, canonical_cycle, class_rep, r_of_class, zero_cycle
+from .lattice import RationalCycle, canonical_cycle, class_rep, zero_cycle
 from .seifert import (
     SeifertData,
     SeifertInvariants,
@@ -226,12 +226,11 @@ def cmd_laufer(record: dict, out: dict, args) -> None:
     g = record_seifert(record).graph
     zk = canonical_cycle(g)
     if args.class_rep == "zk":
-        start_class = class_rep(zk)
+        r = class_rep(zk)
     elif args.class_rep == "zk+e0":
-        start_class = class_rep(zk + g.e0_star)
+        r = class_rep(zk + g.e0_star)
     else:
-        start_class = class_rep(zero_cycle(g.n))
-    r = r_of_class(start_class)
+        r = class_rep(zero_cycle(g.n))
     sc = g.scalars
     if args.trace or args.class_rep == "zero":
         result, trace = laufer.to_antinef(g, r, trace=args.trace)
@@ -270,6 +269,8 @@ def cmd_bh(record: dict, out: dict, args) -> None:
 
 def cmd_verify(args) -> int:
     if args.random is not None:
+        if args.record is not None:
+            raise ValueError("verify takes a record or --random K, not both")
         for option, value, least in (
             ("--random", args.random, 0),
             ("--max-alpha", args.max_alpha, 2),

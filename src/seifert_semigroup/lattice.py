@@ -344,20 +344,10 @@ def chi(g: StarGraph, l: RationalCycle) -> Fraction:
     return Fraction(sum(map(operator.mul, vertex_pairings(g, rest.num), l.num)), 2 * rest.den * l.den)
 
 
-@dataclass(frozen=True)
-class ClassRep:
-    """The representative r_h of a class h of L'/L in the half-open unit cube:
-    the componentwise fractional parts of any cycle of the class."""
-
-    fractional: RationalCycle
-
-
-def class_rep(l: RationalCycle) -> ClassRep:
-    return ClassRep(RationalCycle(tuple(a % l.den for a in l.num), l.den))
-
-
-def r_of_class(c: ClassRep) -> RationalCycle:
-    return c.fractional
+def class_rep(l: RationalCycle) -> RationalCycle:
+    """The representative r_h of the class h of ``l`` in L'/L, in the half-open
+    unit cube: the componentwise fractional parts of any cycle of the class."""
+    return RationalCycle(tuple(a % l.den for a in l.num), l.den)
 
 
 def is_antinef(g: StarGraph, l: RationalCycle, vertices: Iterable[int] | None = None) -> bool:

@@ -60,13 +60,11 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .errors import RationalLinkError, VerificationError
 from .lattice import (
-    ClassRep,
     RationalCycle,
     StarGraph,
     canonical_cycle,
     chi,
     class_rep,
-    r_of_class,
     vertex_pairings,
     zero_cycle,
 )
@@ -96,9 +94,9 @@ class LauferTrace:
 
 @dataclass(frozen=True)
 class XSeries:
-    """The ladder x^0, ..., x^L of a class, with n_values[l] = -(x^l, E_0)."""
+    """The ladder x^0, ..., x^L of a class, with n_values[l] = -(x^l, E_0); ``rep`` is r_h."""
 
-    rep: ClassRep
+    rep: RationalCycle
     cycles: tuple[RationalCycle, ...]
     n_values: tuple[Fraction, ...]
 
@@ -232,15 +230,14 @@ class Rung(NamedTuple):
         return _shift(self.start, self.x)
 
 
-def ladder(g: StarGraph, rep: ClassRep, *, step_budget: int | None = None) -> Iterator[Rung]:
-    """The rungs x^0, x^1, ... of the class, walked as one continued sequence.
+def ladder(g: StarGraph, rep: RationalCycle, *, step_budget: int | None = None) -> Iterator[Rung]:
+    """The rungs x^0, x^1, ... of the class of ``rep`` = r_h, walked as one continued sequence.
 
     x^0 is the endpoint of the restricted sequence from r_h; x^{l+1} adds E_0
     to the state of x^l and continues the same restricted sequence.  The step
     budget applies to each rung.
     """
-    start = r_of_class(rep)
-    seq = _Sequence(g, start, range(1, g.n))
+    seq = _Sequence(g, rep, range(1, g.n))
     budget = _step_budget(step_budget)
     for ell in itertools.count():
         if ell:
@@ -248,12 +245,12 @@ def ladder(g: StarGraph, rep: ClassRep, *, step_budget: int | None = None) -> It
         seq.run(budget)
         if seq.x[0] != ell:
             raise VerificationError(
-                f"central coefficient of x^{ell} is {start[0] + seq.x[0]}, not {start[0] + ell}"
+                f"central coefficient of x^{ell} is {rep[0] + seq.x[0]}, not {rep[0] + ell}"
             )
-        yield Rung(start, tuple(seq.x), -seq.pairing(0), seq.chi(), seq.q[0] < seq.thr[0])
+        yield Rung(rep, tuple(seq.x), -seq.pairing(0), seq.chi(), seq.q[0] < seq.thr[0])
 
 
-def x_series(g: StarGraph, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
+def x_series(g: StarGraph, rep: RationalCycle, up_to: int, *, step_budget: int | None = None) -> XSeries:
     """The cycles x^0, ..., x^{up_to} of the class, read off :func:`ladder`.
 
     x^l is the minimal cycle of the class with central coefficient
@@ -285,11 +282,11 @@ class LauferScalars:
 
 def scalars(g: StarGraph) -> LauferScalars:
     zk = canonical_cycle(g)
-    r = r_of_class(class_rep(zk))
+    r = class_rep(zk)
     s_cycle, _ = to_antinef(g, r)
     if not zk >= s_cycle:
         raise VerificationError("Z_K does not dominate s_[Z_K]")
-    r2 = r_of_class(class_rep(zk + g.e0_star))
+    r2 = class_rep(zk + g.e0_star)
     s_check_cycle, _ = to_antinef(g, r2)
     return LauferScalars(
         delta=int(s_cycle[0] - r[0]),  # s_[Z_K] is r_[Z_K] plus an integer vector

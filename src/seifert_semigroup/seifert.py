@@ -35,9 +35,21 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from typing import Sequence
 
 from .errors import VerificationError
 from .lattice import StarGraph, build_graph
+
+
+def require_int(value, name: str, noun: str = "an integer") -> int:
+    """``value`` itself if its type is int, else ValueError naming ``name`` and ``value``.
+
+    The package's one integer rule: 2.5, 2.0, True and Fraction(5) are refused,
+    never coerced.  ``noun`` is "integers" where ``name`` names a list.
+    """
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    return value
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -57,18 +69,19 @@ def floor_frac(x: Fraction) -> int:
 class SeifertData:
     """Normalized Seifert invariants (-b0; (alpha_i, omega_i)_i), d >= 3.
 
-    e, the derived invariants and the plumbing graph are kept on the record
-    after first use (as :class:`StarGraph` keeps what the graph determines).
+    b0 and every leg entry must be of type int (:func:`require_int`), and
+    ``legs`` is kept as a tuple of pairs.  e, the derived invariants and the
+    plumbing graph are kept on the record after first use (as
+    :class:`StarGraph` keeps what the graph determines).
     """
 
     b0: int
     legs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if int(self.b0) != self.b0:
-            raise ValueError("b0 must be an integer")
-        object.__setattr__(self, "b0", int(self.b0))
-        object.__setattr__(self, "legs", tuple((int(a), int(w)) for a, w in self.legs))
+        require_int(self.b0, "b0")
+        legs = tuple((require_int(a, "a leg entry"), require_int(w, "a leg entry")) for a, w in self.legs)
+        object.__setattr__(self, "legs", legs)
         if len(self.legs) < 3:
             raise ValueError("need at least 3 legs")
         for a, w in self.legs:
@@ -210,14 +223,10 @@ def from_congruence(slots, orbit_order: int) -> SeifertData:
     return sf
 
 
-def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
-    """The unique Seifert data of the integral homology sphere with given alphas.
-
-    Requires d >= 3 pairwise coprime alpha_i >= 2.  Then omega_i and b0 are
-    pinned by alpha*(b0 - sum_i omega_i/alpha_i) = 1: reducing modulo alpha_i
-    gives omega_i * (alpha/alpha_i) = -1 (mod alpha_i), and b0 follows.
-    """
-    alphas = tuple(int(a) for a in alphas)
+def check_alphas(alphas: Sequence[int]) -> tuple[int, ...]:
+    """``alphas`` as a tuple, if they are those of an integral homology sphere:
+    d >= 3 pairwise coprime integers alpha_i >= 2; else ValueError."""
+    alphas = tuple(require_int(a, "alphas", "integers") for a in alphas)
     if len(alphas) < 3:
         raise ValueError("need at least 3 alphas")
     if any(a < 2 for a in alphas):
@@ -225,6 +234,18 @@ def ihs_from_alphas(alphas: list[int] | tuple[int, ...]) -> SeifertData:
     pair = shared_factor_pair(alphas)
     if pair:
         raise ValueError(f"alphas must be pairwise coprime, got {pair[0]}, {pair[1]}")
+    return alphas
+
+
+def ihs_from_alphas(alphas: Sequence[int]) -> SeifertData:
+    """The unique Seifert data of the integral homology sphere with given alphas.
+
+    Requires d >= 3 pairwise coprime alpha_i >= 2 (:func:`check_alphas`).  Then
+    omega_i and b0 are pinned by alpha*(b0 - sum_i omega_i/alpha_i) = 1:
+    reducing modulo alpha_i gives omega_i * (alpha/alpha_i) = -1 (mod alpha_i),
+    and b0 follows.
+    """
+    alphas = check_alphas(alphas)
     alpha = math.prod(alphas)
     return from_congruence(((a, alpha // a, 1) for a in alphas), 1)
 

@@ -34,10 +34,11 @@ from .seifert import (
     SeifertData,
     ceil_div,
     ceil_frac,
+    check_alphas,
     floor_frac,
     is_numerically_gorenstein,
     quasilinear_values,
-    shared_factor_pair,
+    require_int,
 )
 
 
@@ -119,11 +120,6 @@ class Link:
         return is_numerically_gorenstein(self.sf)
 
 
-def as_link(x: Link | SeifertData) -> Link:
-    """``x`` itself if it is a Link, else the Link of the Seifert data ``x``."""
-    return x if isinstance(x, Link) else Link(x)
-
-
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     """Largest non-member, by direct descending scan of N.
 
@@ -151,12 +147,12 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def frobenius_module_raw(link: Link | SeifertData) -> int:
+def frobenius_module_raw(link: Link) -> int:
     """max{ell : ell not in the module}, defined for every link.
 
     Negative for rational links; equals the module Frobenius number otherwise.
     """
-    return as_link(link).module.frobenius_raw
+    return link.module.frobenius_raw
 
 
 def frobenius_by_formula(sf: SeifertData) -> int:
@@ -187,9 +183,9 @@ def frobenius_by_formula(sf: SeifertData) -> int:
     return int(f)
 
 
-def min_module(link: Link | SeifertData) -> int:
+def min_module(link: Link) -> int:
     """Smallest element of the module: the least of the per-class minima m_r."""
-    return as_link(link).module.min
+    return link.module.min
 
 
 def selmer(apery: tuple[int, ...]) -> AperyData:
@@ -198,9 +194,9 @@ def selmer(apery: tuple[int, ...]) -> AperyData:
     return AperyData(apery=apery, frobenius=max(apery) - m, gaps=(sum(apery) - m * (m - 1) // 2) // m)
 
 
-def apery_selmer(link: Link | SeifertData) -> AperyData:
+def apery_selmer(link: Link) -> AperyData:
     """Apery set with respect to alpha, Selmer Frobenius number, gap count."""
-    return selmer(tuple(as_link(link).least(0)))
+    return selmer(tuple(link.least(0)))
 
 
 def gap_window(sf: SeifertData) -> bytes:
@@ -233,7 +229,7 @@ def _generators_from_apery(apery: Sequence[int]) -> list[int]:
     return gens
 
 
-def minimal_generators(link: Link | SeifertData) -> list[int]:
+def minimal_generators(link: Link) -> list[int]:
     """Minimal generators of the semigroup of a Seifert link, sieved out of the Apery set.
 
     Every minimal generator but alpha is a nonzero Apery element.  Of those
@@ -245,7 +241,7 @@ def minimal_generators(link: Link | SeifertData) -> list[int]:
     non-minimal c is g + s with g < c a minimal generator and s in S, so the
     pass of g, which comes before c's turn, drops c.
     """
-    return _generators_from_apery(as_link(link).ap.apery)
+    return _generators_from_apery(link.ap.apery)
 
 
 def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:
@@ -268,12 +264,9 @@ def monoid_apery(gens: Sequence[int]) -> tuple[int, ...]:
     from class 0 to class r when each generator g is an edge r -> r + g of
     weight g (Nijenhuis, Amer. Math. Monthly 86, 1979).  A path's weight
     lies in the class it ends in, so Dijkstra's heap holds weights alone.
-    Every generator must be of type int: 2.5, 2.0 and True are refused, not coerced.
+    Every generator must be of type int (:func:`~seifert_semigroup.seifert.require_int`).
     """
-    bad = next((g for g in gens if type(g) is not int), None)  # bool is a subclass of int
-    if bad is not None:
-        raise ValueError(f"generators must be integers, got {bad!r}")
-    gens = sorted(set(gens))
+    gens = sorted({require_int(g, "generators", "integers") for g in gens})
     if not gens or gens[0] <= 0:
         raise ValueError("generators must be positive")
     if math.gcd(*gens) != 1:
@@ -311,9 +304,7 @@ def minimal_generators_of_monoid(gens: Sequence[int]) -> list[int]:
 
 def ihs_generators(alphas: Sequence[int]) -> list[int]:
     """Generators alpha/alpha_i of the semigroup of the homology sphere with given alphas."""
-    alphas = [int(a) for a in alphas]
-    if shared_factor_pair(alphas):
-        raise ValueError("alphas must be pairwise coprime")
+    alphas = check_alphas(alphas)
     total = math.prod(alphas)
     return sorted(total // a for a in alphas)
 
@@ -359,12 +350,8 @@ def end_projection_generators(alphas: Sequence[int], end_index: int) -> list[int
     products of the alphas complementary to each remaining leg, together with
     ceil(prod(others) / alpha_end).
     """
-    alphas = [int(a) for a in alphas]
-    if len(alphas) < 3:
-        raise ValueError("need at least 3 alphas")
-    if shared_factor_pair(alphas):
-        raise ValueError("alphas must be pairwise coprime")
-    if not (0 <= end_index < len(alphas)):
+    alphas = check_alphas(alphas)
+    if not (0 <= require_int(end_index, "end_index") < len(alphas)):
         raise ValueError("end_index out of range")
     others = [a for i, a in enumerate(alphas) if i != end_index]
     prod_others = math.prod(others)
@@ -419,7 +406,7 @@ class SymmetryReport:
     module_principal: bool
 
 
-def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
+def symmetry_report(link: Link) -> SymmetryReport:
     """Whether ell in S <=> f - ell not in S, and whether the module is
     generated by its minimum.
 
@@ -429,7 +416,6 @@ def symmetry_report(link: Link | SeifertData) -> SymmetryReport:
     ``Link.module`` says whether they are equal.  For numerically Gorenstein
     data the two verdicts agree, or :class:`VerificationError` is raised.
     """
-    link = as_link(link)
     if link.sf.trivial:
         raise TrivialSemigroupError("trivial semigroup has no finite Frobenius number")
     f, gaps, member = link.ap.frobenius, link.ap.gaps, link.in_semigroup
@@ -450,7 +436,7 @@ class GorensteinSymmetryReport:
     failures: tuple[str, ...]
 
 
-def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryReport:
+def gorenstein_symmetry_check(link: Link) -> GorensteinSymmetryReport:
     """Numerical traces of the Gorenstein symmetry for Z_K integral.
 
     Checks N(ell) + N(gamma - ell) = -2; for orbit order one additionally
@@ -462,7 +448,6 @@ def gorenstein_symmetry_check(link: Link | SeifertData) -> GorensteinSymmetryRep
     pass of their own, so on the ``verify`` path this checks the shortcut
     M = S - alpha that ``Link.module`` takes for o = 1.
     """
-    link = as_link(link)
     if not link.gorenstein:
         raise ValueError("input is not numerically Gorenstein")
     inv = link.inv

@@ -24,7 +24,6 @@ from .lattice import (
     dual_basis,
     group_order,
     pairing_with_vertex,
-    r_of_class,
     vertex_pairings,
     zero_cycle,
 )
@@ -38,7 +37,7 @@ from .semigroup import (
 )
 
 
-# Draws random_seifert makes before giving up; max_alpha = 1000 needs a few hundred.
+# Draws before random_seifert and random_coprime_alphas give up; max_alpha = 1000 needs a few hundred.
 MAX_DRAWS = 10_000
 
 
@@ -95,15 +94,22 @@ def random_seifert(
 
 
 def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, product_cap: int = 20_000):
-    """Seeded random pairwise-coprime tuple of alphas in [2, max_alpha]."""
-    while True:
+    """Seeded random pairwise-coprime tuple of d alphas in [2, max_alpha] with product at most
+    ``product_cap``; ValueError after ``MAX_DRAWS`` alphas (or, for d = 0, tuples) are drawn."""
+    draws = 0
+    for _ in range(MAX_DRAWS):
         alphas = []
-        while len(alphas) < d:
+        while len(alphas) < d and draws < MAX_DRAWS:
+            draws += 1
             a = rng.randint(2, max_alpha)
             if all(math.gcd(a, b) == 1 for b in alphas):
                 alphas.append(a)
-        if math.prod(alphas) <= product_cap:
+        if len(alphas) == d and math.prod(alphas) <= product_cap:
             return tuple(alphas)
+    raise ValueError(
+        f"no d = {d} pairwise coprime alphas in [2, max_alpha = {max_alpha}] with product "
+        f"at most product_cap = {product_cap} in {MAX_DRAWS} draws"
+    )
 
 
 def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[CheckResult]:
@@ -162,9 +168,9 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     ok = True
     for _ in range(3):
         if rng.random() < 0.5:
-            start_cycle = r_of_class(class_rep(zk))
+            start_cycle = class_rep(zk)
         else:
-            start_cycle = r_of_class(class_rep(sum((rng.randint(0, 2) * d for d in duals), zero_cycle(g.n))))
+            start_cycle = class_rep(sum((rng.randint(0, 2) * d for d in duals), zero_cycle(g.n)))
         endpoints = {
             laufer.to_antinef(g, start_cycle, strategy="min")[0],
             laufer.to_antinef(g, start_cycle, strategy="max")[0],

@@ -34,7 +34,6 @@ from seifert_semigroup import (
     monoid_sieve,
     pairing,
     quasilinear,
-    r_of_class,
     scalars,
     strongly_flat_check,
     symmetry_report,
@@ -64,7 +63,7 @@ def test_criterion_1_golden_six_vertex_star():
     g = build_graph(SF_STAR70)
     zk = canonical_cycle(g)
     assert zk == cycle([F(47, 6), F(13, 6), F(13, 6), F(11, 6), F(19, 12), F(13, 12)])
-    r = r_of_class(class_rep(zk))
+    r = class_rep(zk)
     assert r == cycle([F(5, 6), F(1, 6), F(1, 6), F(5, 6), F(7, 12), F(1, 12)])
     s, _ = to_antinef(g, r)
     e = [unit_cycle(g.n, v) for v in range(g.n)]
@@ -79,7 +78,7 @@ def test_criterion_2_golden_four_leg_base():
     assert inv.gamma == F(19, 5)
     g = build_graph(SF_BASE4)
     assert dual_cycle(g, 0) == cycle([F(14, 5), F(14, 25), F(14, 25), F(2, 5), F(7, 25)])
-    r = r_of_class(class_rep(canonical_cycle(g) + dual_cycle(g, 0)))
+    r = class_rep(canonical_cycle(g) + dual_cycle(g, 0))
     assert r == cycle([F(3, 5), F(3, 25), F(3, 25), F(4, 5), F(14, 25)])
     assert scalars(g).s_check == F(18, 5)
     assert frobenius_by_formula(SF_BASE4) == 3
@@ -94,7 +93,7 @@ def test_criterion_3_golden_asym5():
     assert frobenius_by_formula(SF_ASYM5) == 21
     for ell in (4, 7, 10, 11, 14, 17):
         assert quasilinear(SF_ASYM5, ell) == -1
-    rep = symmetry_report(SF_ASYM5)
+    rep = symmetry_report(Link(SF_ASYM5))
     assert not rep.symmetric
     assert rep.witnesses == ((4, 17), (7, 14), (10, 11))
     print("PASS criterion 3: non-symmetric five-leg example exact (witnesses 4+17, 7+14, 10+11)")
@@ -111,7 +110,7 @@ def test_criterion_4_golden_gor7():
     alpha = inv.alpha
     for ell in range(-2 * alpha, 2 * alpha + 1):
         assert quasilinear(SF_GOR7, ell) + quasilinear(SF_GOR7, 85 - ell) == -2
-    rep = symmetry_report(SF_GOR7)
+    rep = symmetry_report(Link(SF_GOR7))
     assert not rep.symmetric
     assert (6, 79) in rep.witnesses
     print("PASS criterion 4: Gorenstein seven-leg example exact (non-symmetric, witness 6+79)")
@@ -133,9 +132,9 @@ def test_criterion_5_integral_homology_sphere_suite():
         table = monoid_sieve(gens, hi)
         link = Link(sf)
         assert all(bool(table[ell]) == link.in_semigroup(ell) for ell in range(hi + 1))
-        sym = symmetry_report(sf)
+        sym = symmetry_report(Link(sf))
         assert sym.symmetric and sym.module_principal  # M = -alpha + S
-        assert min_module(sf) == -inv.alpha
+        assert min_module(Link(sf)) == -inv.alpha
     elapsed = time.time() - started
     assert elapsed < 60
     print(f"PASS criterion 5: 100 homology-sphere tuples, all identities exact ({elapsed:.1f}s)")
@@ -151,7 +150,7 @@ def test_criterion_6_oracle_agreement_suite():
             nontrivial += 1
             f_brute = frobenius_bruteforce(sf)
             assert frobenius_by_formula(sf) == f_brute
-            ap = apery_selmer(sf)
+            ap = apery_selmer(Link(sf))
             assert ap.frobenius == f_brute
             assert ap.gaps == gap_count_direct(sf)
         from seifert_semigroup import is_rational_link
@@ -180,7 +179,7 @@ def test_criterion_7_laufer_property_suite():
         mix = zero_cycle(g.n)
         for v in range(g.n):
             mix = mix + rng.randint(0, 2) * dual_cycle(g, v)
-        start = r_of_class(class_rep(rng.choice([zk, zk + dual_cycle(g, 0), mix])))
+        start = class_rep(rng.choice([zk, zk + dual_cycle(g, 0), mix]))
         endpoints = set()
         for strategy in ("min", "max", "random"):
             result, trace = to_antinef(g, start, strategy=strategy, rng=rng, trace=True)
@@ -198,11 +197,10 @@ def test_criterion_7_laufer_property_suite():
         box_top = [-((-zk[v].numerator) // zk[v].denominator) + 2 for v in range(g.n)]
         rows = intersection_matrix(g)
         for rep_cycle in (zk, zk + dual_cycle(g, 0)):
-            rep = class_rep(rep_cycle)
-            r = r_of_class(rep)
+            r = class_rep(rep_cycle)
             s_h, _ = to_antinef(g, r)
             assert all((s_h - r)[v] < box_top[v] for v in range(g.n))
-            series = x_series(g, rep, min(3, box_top[0] - 1))
+            series = x_series(g, r, min(3, box_top[0] - 1))
             base_pairings = [pairing_with_vertex(g, r, v) for v in range(g.n)]
             for l in itertools.product(*(range(t + 1) for t in box_top)):
                 pairings = [
@@ -242,15 +240,15 @@ def test_criterion_8_augmentation_suite():
         lp = cycle([F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(gn.n)])
         l = cycle([rng.randint(-4, 4) for _ in range(g.n)])
         assert pairing(g, pair.project(lp), l) == pairing(gn, lp, pair.include(l))
-    assert verify_prop_comp(SF_BASE4, gap_flags(SF_BASE4, 300), n=70).passed  # the explicit claim for n = 70
-    assert verify_prop_comp(SF_BASE4, gap_flags(SF_BASE4, 300)).passed  # at n*, failing at n* - 1
+    assert verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300), n=70).passed  # the explicit claim for n = 70
+    assert verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300)).passed  # at n*, failing at n* - 1
     for _ in range(6):
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         pair = augment(sf, max(2, int(1 / (-sf.e)) + 2 + rng.randint(0, 3)))
         assert quasilinear_shift_holds(pair, -50, 2 * invariants(sf).alpha)
         assert zk_identity_check(pair).passed
         bound = int(invariants(sf).alpha + invariants(sf).gamma) + 5
-        assert verify_prop_comp(sf, gap_flags(sf, bound)).passed
+        assert verify_prop_comp(Link(sf), gap_flags(sf, bound)).passed
     elapsed = time.time() - started
     print(f"PASS criterion 8: augmentation identities and module stabilisation exact ({elapsed:.1f}s)")
 

@@ -17,7 +17,6 @@ from seifert_semigroup import (
     invariants,
     is_antinef,
     pairing,
-    r_of_class,
     to_antinef,
     unit_cycle,
     verify_prop_comp,
@@ -117,18 +116,18 @@ def test_projected_minimal_representative_is_minimal(sf_base4):
         pair = augment(sf, n)
         gn = pair.augmented.graph
         g = pair.base.graph
-        s_n, _ = to_antinef(gn, r_of_class(class_rep(canonical_cycle(gn))))
+        s_n, _ = to_antinef(gn, class_rep(canonical_cycle(gn)))
         proj = pair.project(s_n)
         assert is_antinef(g, proj)
-        minimal, _ = to_antinef(g, r_of_class(class_rep(proj)))
+        minimal, _ = to_antinef(g, class_rep(proj))
         assert proj == minimal
 
 
 def test_prop_comp_golden(sf_base4):
-    report = verify_prop_comp(sf_base4, gap_flags(sf_base4, 300))
+    report = verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300))
     assert report.passed
     # the explicit claim: n = 70 is already big enough
-    report70 = verify_prop_comp(sf_base4, gap_flags(sf_base4, 300), n=70)
+    report70 = verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300), n=70)
     assert report70.passed and report70.n_used == 70
 
 
@@ -143,16 +142,16 @@ def test_prop_comp_84_interpretation(sf_gor7):
     assert gaps.rfind(1) == frobenius_bruteforce(base)
     ok, detail = _prop_comp_once(pair, gaps, gaps.rfind(1))
     assert not ok and "ell = 85" in detail
-    report = verify_prop_comp(base, gaps)
+    report = verify_prop_comp(Link(base), gaps)
     assert report.passed and report.n_used == 85
 
 
 def test_prop_comp_threshold_lies_above_the_old_start_value():
     """The old adaptive start n = 20 is not enough here; the threshold is n* = 37."""
     sf = SeifertData(1, ((18, 5), (6, 1), (2, 1)))
-    report20 = verify_prop_comp(sf, gap_flags(sf, 33), n=20)
+    report20 = verify_prop_comp(Link(sf), gap_flags(sf, 33), n=20)
     assert not report20.passed and "membership differs at ell = 21" in report20.detail
-    report = verify_prop_comp(sf, gap_flags(sf, 33))
+    report = verify_prop_comp(Link(sf), gap_flags(sf, 33))
     assert report.passed and report.n_used == 37
 
 
@@ -168,9 +167,9 @@ def test_prop_comp_threshold_lies_above_the_old_start_value():
 def test_threshold_pinned(sf, n_star, message):
     """n* on three records; one below it the check fails with the message of the explicit run."""
     gaps = gap_window(sf)
-    assert threshold(sf) == threshold(Link(sf)) == n_star
-    assert verify_prop_comp(sf, gaps).n_used == n_star
-    below = verify_prop_comp(sf, gaps, n=n_star - 1)
+    assert threshold(Link(sf)) == n_star
+    assert verify_prop_comp(Link(sf), gaps).n_used == n_star
+    below = verify_prop_comp(Link(sf), gaps, n=n_star - 1)
     assert not below.passed and message in below.detail
 
 
@@ -190,7 +189,7 @@ def test_threshold_is_the_least_passing_n(sf):
     inv = invariants(sf)
     gaps = gap_flags(sf, int(inv.alpha + inv.gamma) + inv.alpha * (inv.alpha + 2))
     n = max(2, int(1 / (-inv.e)) + 1)
-    while not verify_prop_comp(sf, gaps, n=n).passed:
+    while not verify_prop_comp(Link(sf), gaps, n=n).passed:
         n += 1
     assert threshold(Link(sf)) == n
 
@@ -198,20 +197,20 @@ def test_threshold_is_the_least_passing_n(sf):
 def test_prop_comp_does_not_scan_the_base(monkeypatch, sf_base4):
     gaps = gap_flags(sf_base4, 300)
     calls = count_calls(monkeypatch, quasilinear_values)
-    assert verify_prop_comp(sf_base4, gaps).passed
+    assert verify_prop_comp(Link(sf_base4), gaps).passed
     assert [args for args in calls if args[0] == sf_base4] == []
 
 
 def test_prop_comp_bound_must_reach_the_window(sf_base4):
     inv = invariants(sf_base4)  # alpha + gamma = 73
     with pytest.raises(ValueError):
-        verify_prop_comp(sf_base4, gap_flags(sf_base4, int(inv.alpha + inv.gamma) - 1))
-    assert verify_prop_comp(sf_base4, gap_flags(sf_base4, int(inv.alpha + inv.gamma))).passed
+        verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma) - 1))
+    assert verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma))).passed
 
 
 def test_prop_comp_trivial_base():
     sf = SeifertData(4, ((2, 1), (3, 2), (5, 4)))  # b0 >= d: semigroup is N
-    report = verify_prop_comp(sf, gap_flags(sf, 120), n=40)
+    report = verify_prop_comp(Link(sf), gap_flags(sf, 120), n=40)
     assert report.passed
 
 
@@ -221,5 +220,5 @@ def test_prop_comp_random():
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         inv = invariants(sf)
         bound = int(inv.alpha + inv.gamma) + 5
-        report = verify_prop_comp(sf, gap_flags(sf, bound))
+        report = verify_prop_comp(Link(sf), gap_flags(sf, bound))
         assert report.passed, report.detail

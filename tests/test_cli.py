@@ -391,6 +391,14 @@ def test_verify_option_errors_name_the_option(argv, option, capsys):
     assert captured.err.startswith(f"error: {option} must be at least ") and captured.err.count("\n") == 1
 
 
+def test_verify_refuses_a_record_with_random(capsys):
+    """A record next to --random would be ignored, malformed or not: one error line."""
+    assert main(["verify", '{"alphas":[2,3,7.5]}', "--random", "1", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: verify takes a record or --random K, not both\n"
+
+
 def test_verify_refuses_an_unreachable_max_alpha():
     """Draws up to 1e8 almost never meet the alpha cap: one error line naming
     the option and the cap after a fixed number of draws, not a hang."""

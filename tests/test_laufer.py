@@ -24,7 +24,6 @@ from seifert_semigroup import (
     invariants,
     is_antinef,
     quasilinear,
-    r_of_class,
     scalars,
     to_antinef,
     unit_cycle,
@@ -33,7 +32,7 @@ from seifert_semigroup import (
 )
 from seifert_semigroup.laufer import XSeries, _Sequence, frobenius_module_raw, ladder
 from seifert_semigroup.lattice import (
-    ClassRep,
+    RationalCycle,
     intersection_matrix,
     orbifold_euler_number,
     pairing_with_vertex,
@@ -53,7 +52,7 @@ def test_to_antinef_fixes_zero(golden_graphs):
 
 def test_golden_sequence_star70(sf_star70):
     g = build_graph(sf_star70)
-    r = r_of_class(class_rep(canonical_cycle(g)))
+    r = class_rep(canonical_cycle(g))
     s, trace = to_antinef(g, r, trace=True)
     e = [unit_cycle(g.n, v) for v in range(g.n)]
     assert s == r + 3 * e[0] + e[1] + e[2]
@@ -67,7 +66,7 @@ def test_golden_sequence_star70(sf_star70):
 def test_golden_sequence_base4(sf_base4):
     g = build_graph(sf_base4)
     zk = canonical_cycle(g)
-    r = r_of_class(class_rep(zk + dual_cycle(g, 0)))
+    r = class_rep(zk + dual_cycle(g, 0))
     s, _ = to_antinef(g, r)
     e = [unit_cycle(g.n, v) for v in range(g.n)]
     assert s == r + 3 * e[0] + e[1] + e[2]
@@ -139,7 +138,7 @@ def test_tie_break_invariance_many():
         mix = zero_cycle(g.n)
         for v in range(g.n):
             mix = mix + rng.randint(0, 2) * dual_cycle(g, v)
-        start = r_of_class(class_rep(rng.choice([zk, zk + dual_cycle(g, 0), mix])))
+        start = class_rep(rng.choice([zk, zk + dual_cycle(g, 0), mix]))
         batched, _ = to_antinef(g, start)
         lo, tr_lo = to_antinef(g, start, strategy="min", trace=True)
         hi, tr_hi = to_antinef(g, start, strategy="max", trace=True)
@@ -168,7 +167,7 @@ def test_minimality_of_s_h_by_box_enumeration(sf_star70, sf_base4, sf_asym5, sf_
         box_top = [-((-zk[v].numerator) // zk[v].denominator) + 2 for v in range(g.n)]
         rows = intersection_matrix(g)
         for rep_cycle in (zk, zk + dual_cycle(g, 0)):
-            r = r_of_class(class_rep(rep_cycle))
+            r = class_rep(rep_cycle)
             s_h, _ = to_antinef(g, r)
             offset = s_h - r
             # the minimal representative must sit strictly inside the box
@@ -196,10 +195,9 @@ def test_minimality_of_x_ladder_by_box_enumeration(sf_base4, sf_237):
         box_top = [-((-zk[v].numerator) // zk[v].denominator) + 2 for v in range(g.n)]
         rows = intersection_matrix(g)
         for rep_cycle in (zk, zero_cycle(g.n)):
-            rep = class_rep(rep_cycle)
-            r = r_of_class(rep)
+            r = class_rep(rep_cycle)
             upto = min(3, box_top[0] - 1)
-            series = x_series(g, rep, upto)
+            series = x_series(g, r, upto)
             base_pairings = [pairing_with_vertex(g, r, v) for v in range(g.n)]
             for l in _box_candidates(g, box_top):
                 ell = l[0]
@@ -222,9 +220,8 @@ def test_x_series_structure(sf_star70, sf_base4, sf_237):
         zk = canonical_cycle(g)
         e0 = unit_cycle(g.n, 0)
         for rep_cycle in (zk, zero_cycle(g.n), zk + dual_cycle(g, 0)):
-            rep = class_rep(rep_cycle)
-            series = x_series(g, rep, 8)
-            r = r_of_class(rep)
+            r = class_rep(rep_cycle)
+            series = x_series(g, r, 8)
             assert series.cycles[0] >= r
             for x, x_next in zip(series.cycles, series.cycles[1:]):
                 assert x_next >= x + e0
@@ -264,7 +261,7 @@ def test_dual_check_sign_pattern(sf_star70):
 
 def test_step_budget_guard(sf_gor7):
     g = build_graph(sf_gor7)
-    r = r_of_class(class_rep(canonical_cycle(g) + dual_cycle(g, 0)))
+    r = class_rep(canonical_cycle(g) + dual_cycle(g, 0))
     with pytest.raises(RuntimeError):
         to_antinef(g, r, step_budget=3)
 
@@ -331,7 +328,7 @@ def laufer_starts(draw):
         mix = canonical_cycle(g) * draw(st.integers(0, 1))
         for v in draw(st.lists(st.integers(0, g.n - 1), max_size=3)):
             mix = mix + dual_cycle(g, v)
-        return g, r_of_class(class_rep(mix)), None
+        return g, class_rep(mix), None
     if kind == "ladder":
         rep = class_rep(draw(st.sampled_from([zero_cycle(g.n), canonical_cycle(g)])))
         x = x_series(g, rep, draw(st.integers(0, 3))).cycles[-1]
@@ -361,19 +358,19 @@ def test_worklist_kernel_matches_rescan_oracle(case, seed):
                 assert tr.steps == want_steps
 
 
-def rung_by_rung_x_series(g, rep: ClassRep, up_to: int, *, step_budget: int | None = None) -> XSeries:
+def rung_by_rung_x_series(g, rep: RationalCycle, up_to: int, *, step_budget: int | None = None) -> XSeries:
     """Oracle: the ladder with one fresh restricted sequence per rung (the
     x_series before the ladder walker), copied verbatim."""
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     restricted = range(1, g.n)
     e0 = unit_cycle(g.n, 0)
-    current, _ = to_antinef(g, r_of_class(rep), vertices=restricted, step_budget=step_budget)
+    current, _ = to_antinef(g, rep, vertices=restricted, step_budget=step_budget)
     cycles = [current]
     for _ in range(up_to):
         current, _ = to_antinef(g, current + e0, vertices=restricted, step_budget=step_budget)
         cycles.append(current)
-    r0 = rep.fractional[0]
+    r0 = rep[0]
     for ell, x in enumerate(cycles):
         if x[0] != r0 + ell:
             raise VerificationError(f"central coefficient of x^{ell} is {x[0]}, not {r0 + ell}")

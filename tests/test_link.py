@@ -73,10 +73,10 @@ def test_link_matches_direct_scans(sf):
     assert apery_selmer(link).apery == apery
     assert link.ap.frobenius == f
     assert link.ap.gaps == len(gaps)
-    assert min_module(link) == module_min == min_module(sf)
-    assert frobenius_module_raw(link) == module_raw == frobenius_module_raw(sf)
+    assert min_module(link) == module_min
+    assert frobenius_module_raw(link) == module_raw
     assert link.rational == (module_raw < 0) == is_rational_link(sf)
-    assert minimal_generators(link) == generators == minimal_generators(sf)
+    assert minimal_generators(link) == generators
     window = range(bottom - alpha, top + alpha + 1)
     assert [ell for ell in window if link.in_semigroup(ell)] == [ell for ell in window if n(ell) >= 0]
     assert [ell for ell in window if link.n(ell) >= -1] == [ell for ell in window if n(ell) >= -1]

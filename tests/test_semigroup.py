@@ -67,11 +67,11 @@ def test_trivial_semigroup_paths():
         frobenius_bruteforce(sf)
     with pytest.raises(TrivialSemigroupError):
         frobenius_by_formula(sf)
-    ap = apery_selmer(sf)
+    ap = apery_selmer(Link(sf))
     assert ap.frobenius == -1
     assert ap.gaps == 0
     assert ap.apery == tuple(range(invariants(sf).alpha))
-    assert minimal_generators(sf) == [1]
+    assert minimal_generators(Link(sf)) == [1]
 
 
 def test_trivial_iff_first_level():
@@ -90,7 +90,7 @@ def test_module_frobenius_brute(sf_star70, sf_base4, sf_e8):
     assert frobenius_bruteforce(sf_base4, "module") == 2
     with pytest.raises(RationalLinkError):
         frobenius_bruteforce(sf_e8, "module")
-    assert frobenius_module_raw(sf_e8) == -1  # every nonnegative level is in the module
+    assert frobenius_module_raw(Link(sf_e8)) == -1  # every nonnegative level is in the module
 
 
 def test_module_scan_decides_rationality(sf_e8, monkeypatch):
@@ -125,20 +125,20 @@ def test_semigroup_scan_without_a_gap_is_a_verification_failure(sf_237, monkeypa
 
 
 def test_min_module(sf_237, sf_gor7, sf_e8):
-    assert min_module(sf_237) == -42
+    assert min_module(Link(sf_237)) == -42
     assert quasilinear(sf_237, -1) >= -1  # -1 is in the module
     assert quasilinear(sf_237, -84) < -1  # -84 is not
-    assert min_module(sf_gor7) == 0
-    assert min_module(sf_e8) == -30
+    assert min_module(Link(sf_gor7)) == 0
+    assert min_module(Link(sf_e8)) == -30
     # numerically Gorenstein: min(M) + f_S = gamma
-    assert min_module(sf_gor7) + 85 == 85
-    assert min_module(sf_237) + 43 == 1
+    assert min_module(Link(sf_gor7)) + 85 == 85
+    assert min_module(Link(sf_237)) + 43 == 1
 
 
 def test_apery_properties(sf_base4, sf_asym5, sf_237):
     for sf in (sf_base4, sf_asym5, sf_237):
         inv = invariants(sf)
-        ap = apery_selmer(sf)
+        ap = apery_selmer(Link(sf))
         link = Link(sf)
         assert len(ap.apery) == inv.alpha
         assert sorted(w % inv.alpha for w in ap.apery) == list(range(inv.alpha))
@@ -150,14 +150,14 @@ def test_apery_properties(sf_base4, sf_asym5, sf_237):
 
 
 def test_apery_gaps_golden(sf_237):
-    ap = apery_selmer(sf_237)
+    ap = apery_selmer(Link(sf_237))
     assert ap.frobenius == 43
     assert ap.gaps == 22  # confirmed by direct enumeration; = (f+1)/2 by symmetry
 
 
 def test_minimal_generators_golden(sf_237):
-    assert minimal_generators(sf_237) == [6, 14, 21]
-    assert minimal_generators(ihs_from_alphas((2, 3, 5))) == [6, 10, 15]
+    assert minimal_generators(Link(sf_237)) == [6, 14, 21]
+    assert minimal_generators(Link(ihs_from_alphas((2, 3, 5)))) == [6, 10, 15]
 
 
 def test_minimal_generators_regenerate_membership():
@@ -166,7 +166,7 @@ def test_minimal_generators_regenerate_membership():
         sf = random_seifert(rng, max_alpha=12, alpha_cap=2000, window_cap=6000)
         if sf.b0 >= sf.d:
             continue
-        gens = minimal_generators(sf)
+        gens = minimal_generators(Link(sf))
         f = frobenius_bruteforce(sf)
         inv = invariants(sf)
         hi = f + 2 * inv.alpha
@@ -188,7 +188,7 @@ def test_closure_properties(sf_base4, sf_asym5):
         inv = invariants(sf)
         link = Link(sf)
         members = [ell for ell in range(3 * inv.alpha + 1) if link.in_semigroup(ell)]
-        module_members = [ell for ell in range(min_module(sf), 2 * inv.alpha + 1) if link.n(ell) >= -1]
+        module_members = [ell for ell in range(min_module(Link(sf)), 2 * inv.alpha + 1) if link.n(ell) >= -1]
         for _ in range(200):
             a, b = rng.choice(members), rng.choice(members)
             assert link.in_semigroup(a + b)
@@ -285,11 +285,11 @@ def test_poincare_gorenstein_palindrome(sf_237, sf_gor7):
 
 
 def test_symmetry_report_golden(sf_asym5, sf_gor7):
-    rep1 = symmetry_report(sf_asym5)
+    rep1 = symmetry_report(Link(sf_asym5))
     assert not rep1.symmetric
     assert rep1.witnesses == ((4, 17), (7, 14), (10, 11))
     assert not rep1.module_principal
-    rep2 = symmetry_report(sf_gor7)
+    rep2 = symmetry_report(Link(sf_gor7))
     assert not rep2.symmetric
     assert (6, 79) in rep2.witnesses
     assert not rep2.module_principal  # agrees with non-symmetry (Gorenstein)
@@ -297,19 +297,19 @@ def test_symmetry_report_golden(sf_asym5, sf_gor7):
 
 def test_symmetry_ihs(sf_237, sf_e8):
     for sf in (sf_237, sf_e8):
-        rep = symmetry_report(sf)
+        rep = symmetry_report(Link(sf))
         assert rep.symmetric
         assert rep.module_principal  # M = -alpha + S
         inv = invariants(sf)
-        assert min_module(sf) == -inv.alpha
+        assert min_module(Link(sf)) == -inv.alpha
 
 
 def test_gorenstein_symmetry_check(sf_237, sf_gor7, sf_star70, sf_e8):
-    assert gorenstein_symmetry_check(sf_237).passed
-    assert gorenstein_symmetry_check(sf_gor7).passed
-    assert gorenstein_symmetry_check(sf_e8).passed
+    assert gorenstein_symmetry_check(Link(sf_237)).passed
+    assert gorenstein_symmetry_check(Link(sf_gor7)).passed
+    assert gorenstein_symmetry_check(Link(sf_e8)).passed
     with pytest.raises(ValueError):
-        gorenstein_symmetry_check(sf_star70)
+        gorenstein_symmetry_check(Link(sf_star70))
 
 
 def test_level_set_between_semigroup_and_module(sf_asym5):
@@ -486,7 +486,7 @@ def test_symmetry_report_reads_the_gap_count(monkeypatch):
     calls = []
     in_semigroup = semigroup.Link.in_semigroup
     monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: calls.append(ell) or in_semigroup(self, ell))
-    rep = symmetry_report(ihs_from_alphas((7, 11, 13)))
+    rep = symmetry_report(Link(ihs_from_alphas((7, 11, 13))))
     assert rep.symmetric and rep.witnesses == () and rep.module_principal
     assert calls == []
 
@@ -495,7 +495,7 @@ def test_symmetry_without_a_witness_is_a_verification_failure(sf_asym5, monkeypa
     """A gap count off (f + 1)/2 with a symmetric membership test is a broken Link."""
     monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: ell > self.ap.frobenius - ell)
     with pytest.raises(VerificationError, match="no symmetry witness"):
-        symmetry_report(sf_asym5)
+        symmetry_report(Link(sf_asym5))
 
 
 def test_link_keeps_only_the_table_and_the_apery_set(monkeypatch):
@@ -524,7 +524,7 @@ def test_minimal_generators_make_no_membership_calls(monkeypatch):
     calls = []
     in_semigroup = semigroup.Link.in_semigroup
     monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: calls.append(ell) or in_semigroup(self, ell))
-    assert minimal_generators(ihs_from_alphas((7, 11, 13))) == [77, 91, 143]
+    assert minimal_generators(Link(ihs_from_alphas((7, 11, 13)))) == [77, 91, 143]
     assert calls == []
 
 
