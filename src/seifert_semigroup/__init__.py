@@ -30,7 +30,6 @@ from .lattice import (
 )
 from .laufer import (
     LauferScalars,
-    LauferTrace,
     XSeries,
     dual_check,
     frobenius_module,

@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import compress, islice, repeat
 
 from . import laufer
-from .errors import RationalLinkError
+from .errors import RationalLinkError, VerificationError
 from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
 from .seifert import SeifertData, floor_frac, quasilinear_values, require_int
 from .semigroup import Link
@@ -77,15 +77,9 @@ def c_n(sf: SeifertData, n: int) -> Fraction:
     return (n + inv.gamma - 1) / (n - 1 / (-inv.e))
 
 
-@dataclass(frozen=True)
-class ZkIdentityReport:
-    passed: bool
-    c_value: Fraction
-    failures: tuple[str, ...]
-
-
-def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
-    """Exact check of Z_K(n) = j(Z_K) + c_n*(E_+ + j(E_0^*)) and its corollaries."""
+def zk_identity_check(pair: AugmentedPair) -> None:
+    """Exact check of Z_K(n) = j(Z_K) + c_n*(E_+ + j(E_0^*)) and its corollaries;
+    every failure found is reported in one :class:`VerificationError`."""
     sf, n = pair.base, pair.n
     inv = sf.inv
     c = c_n(sf, n)
@@ -103,7 +97,8 @@ def zk_identity_check(pair: AugmentedPair) -> ZkIdentityReport:
         failures.append(f"c = {c} < 1 despite b0 < d")
     if n > inv.gamma - 1 + 2 / (-inv.e) and not c < 2:
         failures.append(f"c = {c} >= 2 for large n")
-    return ZkIdentityReport(passed=not failures, c_value=c, failures=tuple(failures))
+    if failures:
+        raise VerificationError("; ".join(failures))
 
 
 def quasilinear_shift_holds(pair: AugmentedPair, lo: int, hi: int) -> bool:
@@ -129,15 +124,8 @@ def threshold(link: Link) -> int:
     return max(-min(neg_ratios, default=0), floor_frac(1 / (-link.inv.e)) + 1, 2)
 
 
-@dataclass(frozen=True)
-class PropCompReport:
-    n_used: int
-    passed: bool
-    detail: str = ""
-
-
-def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> PropCompReport:
-    """Check that M_(n) meets the window of ``gaps`` (1 at each gap of S, from ell = 0) in S.
+def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> int:
+    """Check that M_(n) meets the window of ``gaps`` (1 at each gap of S, from ell = 0) in S; return n.
 
     ``gaps`` are the bytes of :func:`~seifert_semigroup.semigroup.gap_window`,
     or longer.  With ``n`` given, only that n is tested.  Otherwise n*
@@ -146,7 +134,8 @@ def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> PropCompR
     M_(n* - 1), in the window or above f_S.  For a non-trivial base the
     augmented module Frobenius number (lattice formula) must equal f_S, the
     last gap in ``gaps``, which must reach floor(alpha + gamma), past which
-    S has no gap, or this raises ``ValueError``.
+    S has no gap, or this raises ``ValueError``.  A failed check raises
+    :class:`VerificationError`.
     """
     sf, inv = link.sf, link.inv
     window = floor_frac(inv.alpha + inv.gamma)
@@ -154,26 +143,29 @@ def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> PropCompR
         raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(alpha + gamma) = {window}")
     f_base = None if sf.trivial else gaps.rfind(1)
     n_used = threshold(link) if n is None else n
-    ok, detail = _prop_comp_once(augment(sf, n_used), gaps, f_base)
+    failure = _prop_comp_once(augment(sf, n_used), gaps, f_base)
     below = n_used - 1
-    if ok and n is None and f_base is not None and below >= 2 and sf.e + Fraction(1, below) < 0:
-        if _prop_comp_once(augment(sf, below), gaps, f_base)[0]:
-            ok, detail = False, f"n = {below} below the threshold {n_used} passes too"
-    return PropCompReport(n_used=n_used, passed=ok, detail=detail)
+    if not failure and n is None and f_base is not None and below >= 2 and sf.e + Fraction(1, below) < 0:
+        if not _prop_comp_once(augment(sf, below), gaps, f_base):
+            failure = f"n = {below} below the threshold {n_used} passes too"
+    if failure:
+        raise VerificationError(failure)
+    return n_used
 
 
-def _prop_comp_once(pair: AugmentedPair, base_gaps: bytes, f_base: int | None) -> tuple[bool, str]:
-    """Module gaps against ``base_gaps`` (1 at a gap of the base); then, for a non-trivial base, f_M = ``f_base``."""
+def _prop_comp_once(pair: AugmentedPair, base_gaps: bytes, f_base: int | None) -> str:
+    """Module gaps against ``base_gaps`` (1 at a gap of the base); then, for a non-trivial base,
+    f_M = ``f_base``.  The first failure, or "" when both hold."""
     ells = range(len(base_gaps))
     module_gaps = map((-1).__gt__, quasilinear_values(pair.augmented, ells))
     ell = next(compress(ells, map(operator.ne, base_gaps, module_gaps)), None)
     if ell is not None:
-        return False, f"membership differs at ell = {ell} (n = {pair.n})"
+        return f"membership differs at ell = {ell} (n = {pair.n})"
     if f_base is not None:
         try:
             f_module = laufer.frobenius_module(pair.augmented.graph)
         except RationalLinkError:
-            return False, f"augmented graph is rational at n = {pair.n}"
+            return f"augmented graph is rational at n = {pair.n}"
         if f_module != f_base:
-            return False, f"module Frobenius {f_module} != semigroup Frobenius {f_base}"
-    return True, ""
+            return f"module Frobenius {f_module} != semigroup Frobenius {f_base}"
+    return ""

@@ -21,7 +21,7 @@ the orbit order, one in case (i) and two in case (ii).  Both cases are one
 call of :func:`seifert.from_congruence`; nothing is searched and no table of
 N is built.  :func:`check_generators` compares the generator list with the
 minimal generators of the record's semigroup, where its period table is
-built anyway.
+built and its generators sieved anyway.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import VerificationError
-from .semigroup import Link, minimal_generators
+from .semigroup import Link
 from .seifert import SeifertData, from_congruence, require_int, shared_factor_pair
 
 CASE_I = "case_i"
@@ -148,14 +148,14 @@ def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
     return (2**cls.c * cls.p[0], 2 * cls.p[1], 2 * cls.p[2]) + cls.p[3:]
 
 
-def check_generators(link: Link, gens: list[int]) -> None:
-    """Check that ``gens`` generate the semigroup S of ``link``.
+def check_generators(link: Link, gens: list[int], minimal: list[int]) -> None:
+    """Check that ``gens`` generate the semigroup S of ``link``, whose minimal generators are ``minimal``.
 
     They do iff each lies in S and every minimal generator of S, being no sum
     of two nonzero elements of S, is listed; a mismatch raises VerificationError.
     """
     bad = next((g for g in gens if not link.in_semigroup(g)), None)
     if bad is None:
-        bad = next((g for g in minimal_generators(link) if g not in gens), None)
+        bad = next((g for g in minimal if g not in gens), None)
     if bad is not None:
         raise VerificationError(f"the generators {gens} and the semigroup of {link.sf} disagree at {bad}")

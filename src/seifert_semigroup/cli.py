@@ -108,7 +108,11 @@ def record_seifert(record: dict) -> SeifertData:
         )
     if "alphas" in record:
         return ihs_from_alphas(_int_list(record["alphas"], "alphas"))
-    cls = record_bh(record)
+    return qhs_seifert(record_bh(record))
+
+
+def qhs_seifert(cls: BHClassification) -> SeifertData:
+    """The Seifert data of a classified ``bh`` record, refused when it is no QHS."""
     if cls.case == NOT_QHS:
         raise ValueError(f"exponents {cls.exponents} give positive genus (not a QHS)")
     return bh_seifert(cls)
@@ -139,17 +143,17 @@ def semigroup_block(link: Link) -> dict:
 
 def full_report(record: dict) -> dict:
     """The canonical per-record result object (used by `batch`)."""
-    link = Link(record_seifert(record))
+    cls = record_bh(record) if "bh" in record else None
+    link = Link(record_seifert(record) if cls is None else qhs_seifert(cls))
     out = _start(record)
     out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
     semi = semigroup_block(link)
     semi["symmetric"] = link.sf.trivial or symmetry_report(link).symmetric
     out["semigroup"] = semi
     out["module"] = {"frobenius": link.module_frobenius_raw, "min": link.module_min}
-    if "bh" in record:
-        cls = record_bh(record)
+    if cls is not None:
         gens = bh_generators(cls)
-        check_generators(link, gens)
+        check_generators(link, gens, semi["generators"])
         out["bh"] = {
             "case": cls.case,
             "m": cls.m,
@@ -176,10 +180,7 @@ def _by_method(method: str, formula, brute, what: str = "") -> int:
     """The value of the ``formula`` or ``brute`` route, or of both when they agree."""
     if method != "both":
         return formula() if method == "formula" else brute()
-    f, b = formula(), brute()
-    if f != b:
-        raise VerificationError(f"{what}formula {f} != brute {b}")
-    return f
+    return verification.agree(formula(), brute(), what)
 
 
 def cmd_frobenius(record: dict, out: dict, args) -> None:
@@ -233,7 +234,7 @@ def cmd_laufer(record: dict, out: dict, args) -> None:
         r = class_rep(zero_cycle(g.n))
     sc = g.scalars
     if args.trace or args.class_rep == "zero":
-        result, trace = laufer.to_antinef(g, r, trace=args.trace)
+        result, steps = laufer.to_antinef(g, r, trace=args.trace)
     else:  # the scalars already ran the sequences of [Z_K] and [Z_K + E_0^*]
         result = sc.s_cycle if args.class_rep == "zk" else sc.s_check_cycle
     out["class"] = args.class_rep
@@ -248,7 +249,7 @@ def cmd_laufer(record: dict, out: dict, args) -> None:
     if args.trace:
         out["trace"] = [
             f"step {k}: +E_{v}, chi={chi_val}"
-            for k, (v, chi_val) in enumerate(trace.steps, start=1)
+            for k, (v, chi_val) in enumerate(steps, start=1)
         ]
 
 

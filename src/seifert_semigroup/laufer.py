@@ -68,28 +68,21 @@ from .lattice import (
     vertex_pairings,
     zero_cycle,
 )
-from .seifert import SeifertData, quasilinear_values
+from .seifert import SeifertData, quasilinear_values, require_int
 
 DEFAULT_STEP_BUDGET = 10**7
 
 
 def _step_budget(override: int | None) -> int:
+    """``override``, else SEIFERT_STEP_BUDGET, which must be a positive integer, else the default."""
     if override is not None:
         return override
-    return int(os.environ.get("SEIFERT_STEP_BUDGET", DEFAULT_STEP_BUDGET))
-
-
-@dataclass(frozen=True)
-class LauferTrace:
-    """Record of a single-stepped computation sequence.
-
-    ``steps`` lists (vertex added, chi after the addition); chi is
-    non-increasing along the list.
-    """
-
-    start: RationalCycle
-    steps: tuple[tuple[int, Fraction], ...]
-    result: RationalCycle
+    text = os.environ.get("SEIFERT_STEP_BUDGET")
+    if text is None:
+        return DEFAULT_STEP_BUDGET
+    if not text.isdecimal() or int(text) < 1:
+        raise ValueError(f"SEIFERT_STEP_BUDGET must be a positive integer, got {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)
@@ -170,9 +163,8 @@ class _Sequence:
             k = 1 if trace else -((-t[v] - scale * q[v]) // step[v])
             added += k
             if added > budget:
-                raise RuntimeError(
-                    f"computation sequence exceeded the step budget ({budget}); "
-                    "this indicates a bug or a non-negative-definite graph"
+                raise ValueError(
+                    f"computation sequence exceeded the step budget SEIFERT_STEP_BUDGET = {budget}"
                 )
             self.add(v, k)
             if trace:
@@ -195,14 +187,16 @@ def to_antinef(
     strategy: str = "min",
     rng: random.Random | None = None,
     step_budget: int | None = None,
-) -> tuple[RationalCycle, LauferTrace | None]:
+) -> tuple[RationalCycle, tuple[tuple[int, Fraction], ...] | None]:
     """Run the computation sequence from ``start`` until anti-nef on ``vertices``.
 
     Returns the endpoint (the minimal cycle of the class that dominates
     ``start`` and pairs non-positively with every allowed vertex) and, when
-    ``trace`` is set, the single-stepped trace.  ``strategy`` picks among the
-    vertices with positive pairing: "min" (default), "max", or "random"
-    (needs ``rng``); the endpoint is the same for every strategy.
+    ``trace`` is set, the steps of the single-stepped sequence as (vertex
+    added, chi after the addition); chi is non-increasing along them.
+    ``strategy`` picks among the vertices with positive pairing: "min"
+    (default), "max", or "random" (needs ``rng``); the endpoint is the same
+    for every strategy.
     """
     if strategy not in ("min", "max", "random"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -210,10 +204,7 @@ def to_antinef(
         raise ValueError("strategy 'random' needs an rng")
     seq = _Sequence(g, start, range(g.n) if vertices is None else vertices)
     steps = seq.run(_step_budget(step_budget), strategy, rng, trace)
-    result = _shift(start, seq.x)
-    if trace:
-        return result, LauferTrace(start=start, steps=tuple(steps), result=result)
-    return result, None
+    return _shift(start, seq.x), tuple(steps) if trace else None
 
 
 class Rung(NamedTuple):
@@ -256,7 +247,7 @@ def x_series(g: StarGraph, rep: RationalCycle, up_to: int, *, step_budget: int |
     x^l is the minimal cycle of the class with central coefficient
     m_0(r_h) + l that is anti-nef on the non-central vertices.
     """
-    if up_to < 0:
+    if require_int(up_to, "up_to") < 0:
         raise ValueError("up_to must be >= 0")
     rungs = list(itertools.islice(ladder(g, rep, step_budget=step_budget), up_to + 1))
     return XSeries(rep=rep, cycles=tuple(r.cycle for r in rungs), n_values=tuple(r.n_value for r in rungs))
@@ -330,15 +321,7 @@ def frobenius_module(g: StarGraph) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    passed: bool
-    delta: int
-    big_delta: int
-    failures: tuple[str, ...]
-
-
-def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> DualityReport:
+def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> None:
     """Verify the duality between the ladders of the trivial class and of [Z_K].
 
     Checks, over 0 <= l <= Delta: chi(x*(l)) = chi(x(Delta - l)); over
@@ -347,7 +330,8 @@ def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> DualityRep
     x*-ladder is delta = m_0(s_[Z_K] - r_[Z_K]), that x*(delta) = s_[Z_K],
     and the sign pattern of (x*(l), E_0) across the ladder.  chi, N* and
     anti-nefness are read off the ladder walker; only x*(delta) is built as
-    a cycle.  The ladders run on ``sf.graph``.
+    a cycle.  The ladders run on ``sf.graph``.  Every failure found is
+    reported in one :class:`VerificationError`.
     """
     g = sf.graph
     sc = g.scalars
@@ -378,6 +362,5 @@ def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> DualityRep
         if n_ell + n_star != -2:
             failures.append(f"N({ell}) + N*({big_delta - 1 - ell}) = {n_ell + n_star} != -2")
             break
-    return DualityReport(
-        passed=not failures, delta=delta, big_delta=big_delta, failures=tuple(failures)
-    )
+    if failures:
+        raise VerificationError("; ".join(failures))

@@ -191,7 +191,7 @@ class QuasilinearTable:
 
 def tau_sequence(sf: SeifertData, up_to: int) -> list[int]:
     """tau(0) = 0 and tau(ell+1) = tau(ell) + 1 + N(ell); values up to index up_to."""
-    if up_to < 0:
+    if require_int(up_to, "up_to") < 0:
         raise ValueError("up_to must be >= 0")
     return list(itertools.accumulate(map((1).__add__, quasilinear_values(sf, range(up_to))), initial=0))
 

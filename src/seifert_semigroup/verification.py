@@ -48,6 +48,13 @@ class CheckResult:
     detail: str = ""
 
 
+def agree(formula, brute, what: str = ""):
+    """``formula``, the value of a lattice route, if it equals ``brute``, that of a scan; else VerificationError."""
+    if formula != brute:
+        raise VerificationError(f"{what}formula {formula} != brute {brute}")
+    return formula
+
+
 def rational_or(route, *args):
     """``route(*args)``, or "rational" where that module Frobenius route raises RationalLinkError."""
     try:
@@ -113,7 +120,11 @@ def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, produ
 
 
 def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[CheckResult]:
-    """Run the per-input invariant and oracle-agreement suite."""
+    """Run the per-input invariant and oracle-agreement suite.
+
+    A check is a condition computed here or a route: a call that returns, or
+    raises :class:`VerificationError` with the reason, which fails that check alone.
+    """
     rng = rng or random.Random(0)
     inv, g = sf.inv, sf.graph
     zk = canonical_cycle(g)
@@ -122,12 +133,16 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     def check(name, condition, detail=""):
         results.append(CheckResult(name, bool(condition), "" if condition else detail))
 
-    def route(name, fn, *args):
-        """fn(*args); a VerificationError inside it fails check ``name`` and gives None."""
+    def route(name, fn, *args, quiet=False):
+        """fn(*args) as check ``name``: a VerificationError fails it with its text; a return
+        passes it, with no line if ``quiet``."""
         try:
-            return fn(*args)
+            fn(*args)
         except VerificationError as ex:
             check(name, False, str(ex))
+        else:
+            if not quiet:
+                check(name, True)
 
     order = group_order(g)
     check("smith_order", order == inv.order_h, f"|det I| = {order} != alpha_1..alpha_d*|e| = {inv.order_h}")
@@ -184,21 +199,17 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     ap = link.ap
     check_augmentation = inv.alpha + inv.gamma <= 3000  # that check reuses the table and the scan
     if not sf.trivial:
-        f_formula = route("semigroup_frobenius_agreement", frobenius_by_formula, sf)
         gaps = gap_window(sf)
         f_brute = gaps.rfind(1)
-        if f_formula is not None:
-            check("semigroup_frobenius_agreement", f_formula == f_brute,
-                  f"formula {f_formula} != brute {f_brute}")
+        route("semigroup_frobenius_agreement", lambda: agree(frobenius_by_formula(sf), f_brute))
         check("selmer_agreement", ap.frobenius == f_brute, f"Selmer {ap.frobenius} != {f_brute}")
         check("gap_count_agreement", ap.gaps == gaps.count(1), f"gap formula {ap.gaps} != direct count")
-        route("symmetry_principality", symmetry_report, link)  # cross-checks symmetry vs principality
+        route("symmetry_principality", symmetry_report, link, quiet=True)  # symmetry vs principality
         if link.gorenstein:
             check("gorenstein_min_plus_frobenius",
                   link.module_min + f_brute == inv.gamma,
                   "min(M) + f_S != gamma")
-            check("gorenstein_symmetry", semigroup.gorenstein_symmetry_check(link).passed,
-                  "numerical Gorenstein symmetry fails")
+            route("gorenstein_symmetry", semigroup.gorenstein_symmetry_check, link)
     else:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
@@ -206,24 +217,17 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     if not check_augmentation:
         del link, ap  # free the table before the module checks, which need memory of their own
     # both module routes decide rationality, so they are compared on every record
-    fm_formula = route("module_frobenius_agreement", rational_or, laufer.frobenius_module, g)
-    if fm_formula is not None:
-        fm_brute = rational_or(frobenius_bruteforce, sf, "module")
-        check("module_frobenius_agreement", fm_formula == fm_brute,
-              f"module formula {fm_formula} != brute {fm_brute}")
+    route("module_frobenius_agreement", lambda: agree(
+        rational_or(laufer.frobenius_module, g), rational_or(frobenius_bruteforce, sf, "module"), "module "))
 
     # ladder duality, when the ladder is short enough to walk
     big_delta = zk.num[0] // zk.den  # m_0(Z_K - r_[Z_K]) = floor(m_0(Z_K))
     if big_delta <= 400:
-        rep = route("ladder_duality", laufer.dual_check, sf)
-        if rep is not None:
-            check("ladder_duality", rep.passed, "; ".join(rep.failures))
+        route("ladder_duality", laufer.dual_check, sf)
 
     # module/semigroup comparison through the augmentation
     if check_augmentation:
-        prop = route("augmented_module_stabilises", verify_prop_comp, link, gaps)
-        if prop is not None:
-            check("augmented_module_stabilises", prop.passed, prop.detail)
+        route("augmented_module_stabilises", verify_prop_comp, link, gaps)
 
     return results
 

@@ -182,9 +182,9 @@ def test_criterion_7_laufer_property_suite():
         start = class_rep(rng.choice([zk, zk + dual_cycle(g, 0), mix]))
         endpoints = set()
         for strategy in ("min", "max", "random"):
-            result, trace = to_antinef(g, start, strategy=strategy, rng=rng, trace=True)
+            result, steps = to_antinef(g, start, strategy=strategy, rng=rng, trace=True)
             endpoints.add(result)
-            values = [chi(g, start)] + [c for _, c in trace.steps]
+            values = [chi(g, start)] + [c for _, c in steps]
             assert all(b <= a for a, b in zip(values, values[1:]))
         assert len(endpoints) == 1
 
@@ -222,8 +222,7 @@ def test_criterion_7_laufer_property_suite():
         if canonical_cycle(sf.graph)[0] <= 60:
             records.append(sf)
     for sf in records:
-        report = dual_check(sf)
-        assert report.passed, report.failures
+        dual_check(sf)
     elapsed = time.time() - started
     print(f"PASS criterion 7: tie-breaks, box minimality and ladder duality exact ({elapsed:.1f}s)")
 
@@ -234,21 +233,21 @@ def test_criterion_8_augmentation_suite():
     pair = augment(SF_BASE4, 70)
     inv = invariants(SF_BASE4)
     assert quasilinear_shift_holds(pair, -2 * inv.alpha, 3 * inv.alpha)
-    assert zk_identity_check(pair).passed
+    zk_identity_check(pair)
     g, gn = pair.base.graph, pair.augmented.graph
     for _ in range(25):
         lp = cycle([F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(gn.n)])
         l = cycle([rng.randint(-4, 4) for _ in range(g.n)])
         assert pairing(g, pair.project(lp), l) == pairing(gn, lp, pair.include(l))
-    assert verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300), n=70).passed  # the explicit claim for n = 70
-    assert verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300)).passed  # at n*, failing at n* - 1
+    verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300), n=70)  # the explicit claim for n = 70
+    verify_prop_comp(Link(SF_BASE4), gap_flags(SF_BASE4, 300))  # at n*, failing at n* - 1
     for _ in range(6):
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         pair = augment(sf, max(2, int(1 / (-sf.e)) + 2 + rng.randint(0, 3)))
         assert quasilinear_shift_holds(pair, -50, 2 * invariants(sf).alpha)
-        assert zk_identity_check(pair).passed
+        zk_identity_check(pair)
         bound = int(invariants(sf).alpha + invariants(sf).gamma) + 5
-        assert verify_prop_comp(Link(sf), gap_flags(sf, bound)).passed
+        verify_prop_comp(Link(sf), gap_flags(sf, bound))
     elapsed = time.time() - started
     print(f"PASS criterion 8: augmentation identities and module stabilisation exact ({elapsed:.1f}s)")
 

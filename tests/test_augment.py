@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seifert_semigroup import (
     SeifertData,
+    VerificationError,
     augment,
     build_graph,
     c_n,
@@ -58,9 +59,7 @@ def test_quasilinear_shift(sf_base4, sf_gor7):
 
 def test_zk_identity_golden(sf_base4):
     pair = augment(sf_base4, 70)
-    report = zk_identity_check(pair)
-    assert report.passed, report.failures
-    assert report.c_value == F(13, 12)
+    zk_identity_check(pair)
     assert c_n(sf_base4, 70) == F(13, 12)
     # the closed form reproduces the canonical cycle of the six-vertex star
     zk70 = canonical_cycle(build_graph(pair.augmented))
@@ -76,8 +75,7 @@ def test_zk_identity_random():
         if sf.e + F(1, n) >= 0:
             n += 1
         pair = augment(sf, n)
-        report = zk_identity_check(pair)
-        assert report.passed, report.failures
+        zk_identity_check(pair)
 
 
 def test_projection_operators(sf_base4):
@@ -124,11 +122,9 @@ def test_projected_minimal_representative_is_minimal(sf_base4):
 
 
 def test_prop_comp_golden(sf_base4):
-    report = verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300))
-    assert report.passed
+    verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300))
     # the explicit claim: n = 70 is already big enough
-    report70 = verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300), n=70)
-    assert report70.passed and report70.n_used == 70
+    assert verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, 300), n=70) == 70
 
 
 def test_prop_comp_84_interpretation(sf_gor7):
@@ -140,19 +136,16 @@ def test_prop_comp_84_interpretation(sf_gor7):
     assert pair.augmented == sf_gor7
     gaps = gap_flags(base, 300)
     assert gaps.rfind(1) == frobenius_bruteforce(base)
-    ok, detail = _prop_comp_once(pair, gaps, gaps.rfind(1))
-    assert not ok and "ell = 85" in detail
-    report = verify_prop_comp(Link(base), gaps)
-    assert report.passed and report.n_used == 85
+    assert "ell = 85" in _prop_comp_once(pair, gaps, gaps.rfind(1))
+    assert verify_prop_comp(Link(base), gaps) == 85
 
 
 def test_prop_comp_threshold_lies_above_the_old_start_value():
     """The old adaptive start n = 20 is not enough here; the threshold is n* = 37."""
     sf = SeifertData(1, ((18, 5), (6, 1), (2, 1)))
-    report20 = verify_prop_comp(Link(sf), gap_flags(sf, 33), n=20)
-    assert not report20.passed and "membership differs at ell = 21" in report20.detail
-    report = verify_prop_comp(Link(sf), gap_flags(sf, 33))
-    assert report.passed and report.n_used == 37
+    with pytest.raises(VerificationError, match="membership differs at ell = 21"):
+        verify_prop_comp(Link(sf), gap_flags(sf, 33), n=20)
+    assert verify_prop_comp(Link(sf), gap_flags(sf, 33)) == 37
 
 
 @pytest.mark.parametrize(
@@ -168,9 +161,9 @@ def test_threshold_pinned(sf, n_star, message):
     """n* on three records; one below it the check fails with the message of the explicit run."""
     gaps = gap_window(sf)
     assert threshold(Link(sf)) == n_star
-    assert verify_prop_comp(Link(sf), gaps).n_used == n_star
-    below = verify_prop_comp(Link(sf), gaps, n=n_star - 1)
-    assert not below.passed and message in below.detail
+    assert verify_prop_comp(Link(sf), gaps) == n_star
+    with pytest.raises(VerificationError, match=message):
+        verify_prop_comp(Link(sf), gaps, n=n_star - 1)
 
 
 @st.composite
@@ -189,15 +182,23 @@ def test_threshold_is_the_least_passing_n(sf):
     inv = invariants(sf)
     gaps = gap_flags(sf, int(inv.alpha + inv.gamma) + inv.alpha * (inv.alpha + 2))
     n = max(2, int(1 / (-inv.e)) + 1)
-    while not verify_prop_comp(Link(sf), gaps, n=n).passed:
+    while not _passes_at(Link(sf), gaps, n):
         n += 1
     assert threshold(Link(sf)) == n
+
+
+def _passes_at(link, gaps, n):
+    try:
+        verify_prop_comp(link, gaps, n=n)
+    except VerificationError:
+        return False
+    return True
 
 
 def test_prop_comp_does_not_scan_the_base(monkeypatch, sf_base4):
     gaps = gap_flags(sf_base4, 300)
     calls = count_calls(monkeypatch, quasilinear_values)
-    assert verify_prop_comp(Link(sf_base4), gaps).passed
+    verify_prop_comp(Link(sf_base4), gaps)
     assert [args for args in calls if args[0] == sf_base4] == []
 
 
@@ -205,13 +206,12 @@ def test_prop_comp_bound_must_reach_the_window(sf_base4):
     inv = invariants(sf_base4)  # alpha + gamma = 73
     with pytest.raises(ValueError):
         verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma) - 1))
-    assert verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma))).passed
+    verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma)))
 
 
 def test_prop_comp_trivial_base():
     sf = SeifertData(4, ((2, 1), (3, 2), (5, 4)))  # b0 >= d: semigroup is N
-    report = verify_prop_comp(Link(sf), gap_flags(sf, 120), n=40)
-    assert report.passed
+    verify_prop_comp(Link(sf), gap_flags(sf, 120), n=40)
 
 
 def test_prop_comp_random():
@@ -220,5 +220,4 @@ def test_prop_comp_random():
         sf = random_seifert(rng, max_alpha=10, alpha_cap=800, window_cap=2500)
         inv = invariants(sf)
         bound = int(inv.alpha + inv.gamma) + 5
-        report = verify_prop_comp(Link(sf), gap_flags(sf, bound))
-        assert report.passed, report.detail
+        verify_prop_comp(Link(sf), gap_flags(sf, bound))

@@ -24,7 +24,9 @@ from seifert_semigroup import (
 from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, _slot_exponents, check_generators
 from seifert_semigroup.cli import full_report
 from seifert_semigroup.seifert import QuasilinearTable
-from seifert_semigroup.semigroup import minimal_generators_of_monoid
+from seifert_semigroup.semigroup import minimal_generators, minimal_generators_of_monoid
+
+from conftest import count_calls
 
 
 def test_classify_examples():
@@ -217,9 +219,10 @@ def test_degenerate_case_ii_is_an_input_error():
 def test_check_generators_rejects_a_wrong_list():
     cls = classify((6, 10, 14))
     link = Link(bh_seifert(cls))
-    check_generators(link, bh_generators(cls))
+    minimal = minimal_generators(link)
+    check_generators(link, bh_generators(cls), minimal)
     with pytest.raises(VerificationError, match="disagree"):
-        check_generators(link, [15, 21, 37])
+        check_generators(link, [15, 21, 37], minimal)
 
 
 def test_check_generators_accepts_a_non_minimal_list():
@@ -228,9 +231,10 @@ def test_check_generators_accepts_a_non_minimal_list():
     cls = classify((2, 6, 10))
     link = Link(bh_seifert(cls))
     assert bh_generators(cls) == [3, 5, 15]
-    check_generators(link, [3, 5, 15])
+    minimal = minimal_generators(link)
+    check_generators(link, [3, 5, 15], minimal)
     with pytest.raises(VerificationError, match="disagree at 5"):
-        check_generators(link, [3, 15])
+        check_generators(link, [3, 15], minimal)
 
 
 def test_full_report_builds_one_table(monkeypatch):
@@ -245,6 +249,16 @@ def test_full_report_builds_one_table(monkeypatch):
     report = full_report({"bh": [6, 10, 14]})
     assert report["bh"]["generators"] == [15, 21, 35]
     assert len(built) == 1
+
+
+def test_full_report_classifies_and_sieves_a_bh_record_once(monkeypatch):
+    """The classification and the minimal generators in hand are reused by
+    the Seifert data and by the generator check."""
+    classified = count_calls(monkeypatch, classify)
+    sieved = count_calls(monkeypatch, minimal_generators)
+    report = full_report({"bh": [6, 10, 14]})
+    assert report["bh"]["generators"] == report["semigroup"]["generators"] == [15, 21, 35]
+    assert (len(classified), len(sieved)) == (1, 1)
 
 
 def test_large_case_ii_answers():

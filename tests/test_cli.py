@@ -581,6 +581,68 @@ def test_json_commands_are_bodies_of_one_runner():
     assert {name: sorted(calls & frame) for name, calls in bodies.items() if calls & frame} == {}
 
 
+STAR70 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1],[70,1]]}}'
+
+
+OVERRUN = "error: computation sequence exceeded the step budget SEIFERT_STEP_BUDGET = 3\n"
+
+
+@pytest.mark.parametrize(
+    "budget, argv, message",
+    [
+        ("3", ["info", STAR70], OVERRUN),
+        ("3", ["frobenius", STAR70, "--method", "formula"], OVERRUN),
+        ("3", ["verify", '{"alphas":[2,3,7]}'], OVERRUN),
+        ("abc", ["info", STAR70], "error: SEIFERT_STEP_BUDGET must be a positive integer, got 'abc'\n"),
+        ("0", ["info", STAR70], "error: SEIFERT_STEP_BUDGET must be a positive integer, got '0'\n"),
+        ("-5", ["info", STAR70], "error: SEIFERT_STEP_BUDGET must be a positive integer, got '-5'\n"),
+    ],
+    ids=["info", "formula", "verify", "not-a-number", "zero", "negative"],
+)
+def test_step_budget_is_a_one_line_refusal(budget, argv, message):
+    """An overrun or a SEIFERT_STEP_BUDGET that is no positive integer is an
+    input error naming the variable and its value: one line, exit 1, no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"), "SEIFERT_STEP_BUDGET": budget}
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", message)
+
+
+# A fault planted in one route of `verify` on {"alphas":[2,3,7]}, and the identity its FAIL line names.
+PLANTED_FAULTS = {
+    "gorenstein_symmetry": (
+        "exact = seifert.QuasilinearTable.__call__\n"
+        "seifert.QuasilinearTable.__call__ = lambda self, ell: exact(self, ell) + 1\n",
+        "N(ell) + N(gamma - ell) = -2 fails in residue class 0",
+    ),
+    "ladder_duality": (
+        "exact = laufer.quasilinear_values\n"
+        "laufer.quasilinear_values = lambda sf, ells: (n + 1 for n in exact(sf, ells))\n",
+        "N(0) + N*(1) = -1 != -2",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("check", PLANTED_FAULTS)
+def test_planted_fault_is_one_fail_line_naming_the_identity(check, flags):
+    """A route that raises is one FAIL line carrying its reason; the other
+    checks still run, and verify exits 2, with or without -O."""
+    plant, identity = PLANTED_FAULTS[check]
+    script = (
+        "import sys\n"
+        "from seifert_semigroup import cli, laufer, seifert\n"
+        f"{plant}"
+        "sys.exit(cli.main(['verify', '{\"alphas\":[2,3,7]}']))\n"
+    )
+    result = _python(*flags, "-c", script)
+    assert result.returncode == 2, result.stderr
+    fail, tally = [line for line in result.stdout.splitlines() if not line.startswith("ok ")]
+    assert fail.startswith(f"FAIL {check}  (") and identity in fail
+    assert tally == "16/17 checks passed"
+
+
 def test_no_bare_asserts_in_the_package():
     """Cross-checks raise VerificationError, so they still run under python -O."""
     package = Path(__file__).parents[1] / "src" / "seifert_semigroup"
@@ -591,6 +653,23 @@ def test_no_bare_asserts_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_check_result_has_a_passed_field():
+    """A cross-check returns its value or raises: CheckResult, which verify
+    builds, is the package's one pass/fail record."""
+    package = Path(__file__).parents[1] / "src" / "seifert_semigroup"
+    found = [
+        f"{path.name}:{node.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, (ast.AnnAssign, ast.Assign))
+        for target in ([stmt.target] if isinstance(stmt, ast.AnnAssign) else stmt.targets)
+        if isinstance(target, ast.Name) and target.id == "passed"
+    ]
+    assert found == ["verification.py:CheckResult"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

@@ -20,11 +20,16 @@ from seifert_semigroup import (
     end_projection_generators,
     ihs_from_alphas,
     ihs_generators,
+    poincare,
+    tau_sequence,
+    x_series,
+    zero_cycle,
 )
 from seifert_semigroup.semigroup import monoid_apery
 
 ROOT = Path(__file__).parents[1]
 BASE4_LEGS = ((5, 1), (5, 1), (7, 1), (10, 1))
+G237 = ihs_from_alphas([2, 3, 7]).graph
 
 # Every entry point of the integer rule: (call on the bad value, parameter named in the error).
 INTEGER_ENTRY_POINTS = {
@@ -38,6 +43,9 @@ INTEGER_ENTRY_POINTS = {
     "classify": (lambda v: classify([v, 3, 7]), "exponents"),
     "augment": (lambda v: augment(SeifertData(1, BASE4_LEGS), v), "n"),
     "monoid_apery": (lambda v: monoid_apery([v, 3]), "generators"),
+    "poincare": (lambda v: poincare(SeifertData(1, BASE4_LEGS), v), "up_to"),
+    "tau_sequence": (lambda v: tau_sequence(SeifertData(1, BASE4_LEGS), v), "up_to"),
+    "x_series": (lambda v: x_series(G237, zero_cycle(G237.n), v), "up_to"),
 }
 
 

@@ -45,22 +45,21 @@ from conftest import seeded_rng, star_graphs
 
 def test_to_antinef_fixes_zero(golden_graphs):
     for g in golden_graphs.values():
-        result, trace = to_antinef(g, zero_cycle(g.n), trace=True)
+        result, steps = to_antinef(g, zero_cycle(g.n), trace=True)
         assert result == zero_cycle(g.n)
-        assert trace.steps == ()
+        assert steps == ()
 
 
 def test_golden_sequence_star70(sf_star70):
     g = build_graph(sf_star70)
     r = class_rep(canonical_cycle(g))
-    s, trace = to_antinef(g, r, trace=True)
+    s, steps = to_antinef(g, r, trace=True)
     e = [unit_cycle(g.n, v) for v in range(g.n)]
     assert s == r + 3 * e[0] + e[1] + e[2]
     assert s == cycle([F(23, 6), F(7, 6), F(7, 6), F(5, 6), F(7, 12), F(1, 12)])
     # chi never increases along the trace
-    values = [chi(g, r)] + [c for _, c in trace.steps]
+    values = [chi(g, r)] + [c for _, c in steps]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    assert trace.result == s
 
 
 def test_golden_sequence_base4(sf_base4):
@@ -144,8 +143,8 @@ def test_tie_break_invariance_many():
         hi, tr_hi = to_antinef(g, start, strategy="max", trace=True)
         rnd, tr_rnd = to_antinef(g, start, strategy="random", rng=rng, trace=True)
         assert batched == lo == hi == rnd
-        for trace in (tr_lo, tr_hi, tr_rnd):
-            values = [chi(g, start)] + [c for _, c in trace.steps]
+        for steps in (tr_lo, tr_hi, tr_rnd):
+            values = [chi(g, start)] + [c for _, c in steps]
             assert all(b <= a for a, b in zip(values, values[1:]))
         cases += 1
 
@@ -244,9 +243,8 @@ def test_trivial_class_ladder_is_quasilinear(sf_237, sf_base4, sf_e8):
 
 def test_dual_check_on_goldens(sf_star70, sf_asym5, sf_gor7, sf_237):
     for sf in (sf_star70, sf_asym5, sf_gor7, sf_237):
-        report = dual_check(sf)
-        assert report.passed, report.failures
-        assert report.big_delta >= report.delta
+        dual_check(sf)
+        assert sf.graph.scalars.big_delta >= sf.graph.scalars.delta
 
 
 def test_dual_check_sign_pattern(sf_star70):
@@ -262,15 +260,15 @@ def test_dual_check_sign_pattern(sf_star70):
 def test_step_budget_guard(sf_gor7):
     g = build_graph(sf_gor7)
     r = class_rep(canonical_cycle(g) + dual_cycle(g, 0))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         to_antinef(g, r, step_budget=3)
 
 
 def test_ladder_step_budget_applies_per_rung(sf_gor7):
     g = build_graph(sf_gor7)
     for rep_cycle in (zero_cycle(g.n), canonical_cycle(g), canonical_cycle(g) + dual_cycle(g, 0)):
-        with pytest.raises(RuntimeError, match=r"^computation sequence exceeded the step budget \(3\); "
-                           "this indicates a bug or a non-negative-definite graph$"):
+        with pytest.raises(ValueError, match=r"^computation sequence exceeded the step budget "
+                           r"SEIFERT_STEP_BUDGET = 3$"):
             x_series(g, class_rep(rep_cycle), 5, step_budget=3)
 
 
@@ -355,7 +353,7 @@ def test_worklist_kernel_matches_rescan_oracle(case, seed):
             )
             assert got == want == end
             if trace:
-                assert tr.steps == want_steps
+                assert tr == want_steps
 
 
 def rung_by_rung_x_series(g, rep: RationalCycle, up_to: int, *, step_budget: int | None = None) -> XSeries:

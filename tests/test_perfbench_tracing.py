@@ -60,7 +60,7 @@ for line in open(sys.argv[1], encoding="utf-8"):
     g = cli.record_seifert(record).graph
     for c in (g.zk, g.zk + g.e0_star):
         r = lattice.class_rep(c)
-        steps += len(laufer.to_antinef(g, r, trace=True)[1].steps)
+        steps += len(laufer.to_antinef(g, r, trace=True)[1])
 print(steps, tracer.counts["laufer.unit_additions"])
 """
 

@@ -305,9 +305,9 @@ def test_symmetry_ihs(sf_237, sf_e8):
 
 
 def test_gorenstein_symmetry_check(sf_237, sf_gor7, sf_star70, sf_e8):
-    assert gorenstein_symmetry_check(Link(sf_237)).passed
-    assert gorenstein_symmetry_check(Link(sf_gor7)).passed
-    assert gorenstein_symmetry_check(Link(sf_e8)).passed
+    gorenstein_symmetry_check(Link(sf_237))
+    gorenstein_symmetry_check(Link(sf_gor7))
+    gorenstein_symmetry_check(Link(sf_e8))
     with pytest.raises(ValueError):
         gorenstein_symmetry_check(Link(sf_star70))
 
@@ -477,7 +477,8 @@ def test_apery_quantities_match_the_per_class_scans():
         alpha_generator[link.inv.alpha in gens] += 1
         assert symmetry_report(link) == _scan_symmetry_report(link), sf
         if link.gorenstein:
-            assert gorenstein_symmetry_check(link).passed and _scan_level_set_identity(link), sf
+            gorenstein_symmetry_check(link)
+            assert _scan_level_set_identity(link), sf
     assert seen >= 300 and min(alpha_generator.values()) > 0
 
 
