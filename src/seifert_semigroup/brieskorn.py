@@ -44,17 +44,20 @@ NOT_QHS = "not_qhs"
 class BHClassification:
     """Outcome of the rational-homology-sphere recognition.
 
-    For a match, ``p`` lists the coprime cores in slot order, ``alphas`` the
-    Seifert multiplicities per slot, and ``multiplicities`` how many legs
-    each slot contributes; ``m`` (case i) or ``c`` (case ii) is the extra
-    parameter.
+    For a match, ``slot_exponents`` lists the exponents a_i in slot order,
+    ``p`` their coprime cores, ``alphas`` the Seifert multiplicities per slot,
+    and ``multiplicities`` how many legs each slot contributes; ``m`` (case i)
+    or ``c`` (case ii) is the extra parameter, and ``orbit_order`` is 1 in
+    case (i) and 2 in case (ii).
     """
 
     case: str
     exponents: tuple[int, ...]
+    slot_exponents: tuple[int, ...] | None = None
     p: tuple[int, ...] | None = None
     alphas: tuple[int, ...] | None = None
     multiplicities: tuple[int, ...] | None = None
+    orbit_order: int | None = None
     m: int | None = None
     c: int | None = None
 
@@ -79,9 +82,11 @@ def classify(exponents: Sequence[int]) -> BHClassification:
         return BHClassification(
             case=CASE_I,
             exponents=a,
+            slot_exponents=(a[i], a[j], *rest),
             p=tuple(p),
             alphas=tuple(p),
             multiplicities=(1, 1) + (m,) * (n - 2),
+            orbit_order=1,
             m=m,
         )
 
@@ -103,27 +108,29 @@ def classify(exponents: Sequence[int]) -> BHClassification:
         return BHClassification(
             case=CASE_II,
             exponents=a,
+            slot_exponents=tuple(a[k] for k in (i1, i2, i3, *rest)),
             p=tuple(p),
             alphas=alphas,
             multiplicities=(2, 2, 2) + (4,) * (n - 3),
+            orbit_order=2,
             c=c,
         )
 
     return BHClassification(case=NOT_QHS, exponents=a)
 
 
-def bh_generators(cls: BHClassification) -> list[int]:
-    """Minimal generators of the semigroup of the link, from the classification."""
+def _require_qhs(cls: BHClassification) -> None:
     if cls.case == NOT_QHS:
-        raise ValueError("not a rational homology sphere")
-    alphas = cls.alphas
-    total = math.prod(alphas)
-    hats = [total // x for x in alphas]
-    if cls.case == CASE_I:
-        gens = hats[:2] + [cls.m * h for h in hats[2:]]
-    else:
-        gens = hats[:3] + [2 * h for h in hats[3:]]
-    return sorted(set(gens))
+        raise ValueError(f"exponents {cls.exponents} give positive genus (not a QHS)")
+
+
+def bh_generators(cls: BHClassification) -> list[int]:
+    """Minimal generators of the semigroup of the link, from the classification:
+    (s_i/o)*(alpha/alpha_i) per slot, with s_i its leg count, o the orbit order
+    and alpha the product of the alpha_i."""
+    _require_qhs(cls)
+    total = math.prod(cls.alphas)
+    return sorted({s // cls.orbit_order * (total // a) for a, s in zip(cls.alphas, cls.multiplicities)})
 
 
 def bh_seifert(cls: BHClassification) -> SeifertData:
@@ -133,19 +140,10 @@ def bh_seifert(cls: BHClassification) -> SeifertData:
     (mod alpha_i), where q_i = lcm(a)/a_i for the slot's exponent a_i; b0
     makes the orbit order one in case (i) and two in case (ii).
     """
-    if cls.case == NOT_QHS:
-        raise ValueError("not a rational homology sphere")
+    _require_qhs(cls)
     big_lcm = math.lcm(*cls.exponents)
-    cofactors = (big_lcm // a for a in _slot_exponents(cls))
-    orbit_order = 1 if cls.case == CASE_I else 2
-    return from_congruence(zip(cls.alphas, cofactors, cls.multiplicities), orbit_order)
-
-
-def _slot_exponents(cls: BHClassification) -> tuple[int, ...]:
-    """The exponent a_i attached to each classification slot, in slot order."""
-    if cls.case == CASE_I:
-        return (cls.m * cls.p[0], cls.m * cls.p[1]) + cls.p[2:]
-    return (2**cls.c * cls.p[0], 2 * cls.p[1], 2 * cls.p[2]) + cls.p[3:]
+    cofactors = (big_lcm // a for a in cls.slot_exponents)
+    return from_congruence(zip(cls.alphas, cofactors, cls.multiplicities), cls.orbit_order)
 
 
 def check_generators(link: Link, gens: list[int], minimal: list[int]) -> None:

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
-from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
+from .errors import VerificationError
 from .lattice import RationalCycle, canonical_cycle, class_rep, zero_cycle
 from .seifert import (
     SeifertData,
@@ -108,14 +108,7 @@ def record_seifert(record: dict) -> SeifertData:
         )
     if "alphas" in record:
         return ihs_from_alphas(_int_list(record["alphas"], "alphas"))
-    return qhs_seifert(record_bh(record))
-
-
-def qhs_seifert(cls: BHClassification) -> SeifertData:
-    """The Seifert data of a classified ``bh`` record, refused when it is no QHS."""
-    if cls.case == NOT_QHS:
-        raise ValueError(f"exponents {cls.exponents} give positive genus (not a QHS)")
-    return bh_seifert(cls)
+    return bh_seifert(record_bh(record))
 
 
 def invariants_block(inv: SeifertInvariants, gorenstein: bool, rational: bool) -> dict:
@@ -144,7 +137,7 @@ def semigroup_block(link: Link) -> dict:
 def full_report(record: dict) -> dict:
     """The canonical per-record result object (used by `batch`)."""
     cls = record_bh(record) if "bh" in record else None
-    link = Link(record_seifert(record) if cls is None else qhs_seifert(cls))
+    link = Link(record_seifert(record) if cls is None else bh_seifert(cls))
     out = _start(record)
     out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
     semi = semigroup_block(link)
@@ -317,7 +310,7 @@ def _batch_one(line: str) -> tuple[str, bool]:
         return json.dumps(full_report(parse_record(obj))), False
     except Exception as ex:  # noqa: BLE001 - per-record error reporting
         ident = obj.get("id", "") if isinstance(obj, dict) else ""
-        return json.dumps({"id": ident, "error": str(ex)}), True
+        return json.dumps({"id": ident, "error": str(ex) or type(ex).__name__}), True
 
 
 def cmd_batch(args) -> int:
@@ -431,7 +424,7 @@ def main(argv=None) -> int:
     except VerificationError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, KeyError, OSError, TrivialSemigroupError, RationalLinkError) as ex:
+    except (ValueError, KeyError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
 

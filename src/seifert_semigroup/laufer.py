@@ -73,10 +73,8 @@ from .seifert import SeifertData, quasilinear_values, require_int
 DEFAULT_STEP_BUDGET = 10**7
 
 
-def _step_budget(override: int | None) -> int:
-    """``override``, else SEIFERT_STEP_BUDGET, which must be a positive integer, else the default."""
-    if override is not None:
-        return override
+def _step_budget() -> int:
+    """SEIFERT_STEP_BUDGET, which must be a positive integer, else the default."""
     text = os.environ.get("SEIFERT_STEP_BUDGET")
     if text is None:
         return DEFAULT_STEP_BUDGET
@@ -87,9 +85,8 @@ def _step_budget(override: int | None) -> int:
 
 @dataclass(frozen=True)
 class XSeries:
-    """The ladder x^0, ..., x^L of a class, with n_values[l] = -(x^l, E_0); ``rep`` is r_h."""
+    """The ladder x^0, ..., x^L of a class, with n_values[l] = -(x^l, E_0)."""
 
-    rep: RationalCycle
     cycles: tuple[RationalCycle, ...]
     n_values: tuple[Fraction, ...]
 
@@ -186,7 +183,6 @@ def to_antinef(
     trace: bool = False,
     strategy: str = "min",
     rng: random.Random | None = None,
-    step_budget: int | None = None,
 ) -> tuple[RationalCycle, tuple[tuple[int, Fraction], ...] | None]:
     """Run the computation sequence from ``start`` until anti-nef on ``vertices``.
 
@@ -203,7 +199,7 @@ def to_antinef(
     if strategy == "random" and rng is None:
         raise ValueError("strategy 'random' needs an rng")
     seq = _Sequence(g, start, range(g.n) if vertices is None else vertices)
-    steps = seq.run(_step_budget(step_budget), strategy, rng, trace)
+    steps = seq.run(_step_budget(), strategy, rng, trace)
     return _shift(start, seq.x), tuple(steps) if trace else None
 
 
@@ -221,7 +217,7 @@ class Rung(NamedTuple):
         return _shift(self.start, self.x)
 
 
-def ladder(g: StarGraph, rep: RationalCycle, *, step_budget: int | None = None) -> Iterator[Rung]:
+def ladder(g: StarGraph, rep: RationalCycle) -> Iterator[Rung]:
     """The rungs x^0, x^1, ... of the class of ``rep`` = r_h, walked as one continued sequence.
 
     x^0 is the endpoint of the restricted sequence from r_h; x^{l+1} adds E_0
@@ -229,7 +225,7 @@ def ladder(g: StarGraph, rep: RationalCycle, *, step_budget: int | None = None) 
     budget applies to each rung.
     """
     seq = _Sequence(g, rep, range(1, g.n))
-    budget = _step_budget(step_budget)
+    budget = _step_budget()
     for ell in itertools.count():
         if ell:
             seq.add(0, 1)
@@ -241,7 +237,7 @@ def ladder(g: StarGraph, rep: RationalCycle, *, step_budget: int | None = None) 
         yield Rung(rep, tuple(seq.x), -seq.pairing(0), seq.chi(), seq.q[0] < seq.thr[0])
 
 
-def x_series(g: StarGraph, rep: RationalCycle, up_to: int, *, step_budget: int | None = None) -> XSeries:
+def x_series(g: StarGraph, rep: RationalCycle, up_to: int) -> XSeries:
     """The cycles x^0, ..., x^{up_to} of the class, read off :func:`ladder`.
 
     x^l is the minimal cycle of the class with central coefficient
@@ -249,8 +245,8 @@ def x_series(g: StarGraph, rep: RationalCycle, up_to: int, *, step_budget: int |
     """
     if require_int(up_to, "up_to") < 0:
         raise ValueError("up_to must be >= 0")
-    rungs = list(itertools.islice(ladder(g, rep, step_budget=step_budget), up_to + 1))
-    return XSeries(rep=rep, cycles=tuple(r.cycle for r in rungs), n_values=tuple(r.n_value for r in rungs))
+    rungs = list(itertools.islice(ladder(g, rep), up_to + 1))
+    return XSeries(cycles=tuple(r.cycle for r in rungs), n_values=tuple(r.n_value for r in rungs))
 
 
 @dataclass(frozen=True)
@@ -321,7 +317,7 @@ def frobenius_module(g: StarGraph) -> int:
     return value
 
 
-def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> None:
+def dual_check(sf: SeifertData) -> None:
     """Verify the duality between the ladders of the trivial class and of [Z_K].
 
     Checks, over 0 <= l <= Delta: chi(x*(l)) = chi(x(Delta - l)); over
@@ -339,7 +335,7 @@ def dual_check(sf: SeifertData, *, step_budget: int | None = None) -> None:
     failures = []
 
     def rungs(c):
-        return list(itertools.islice(ladder(g, class_rep(c), step_budget=step_budget), big_delta + 1))
+        return list(itertools.islice(ladder(g, class_rep(c)), big_delta + 1))
 
     zero, star = rungs(zero_cycle(g.n)), rungs(canonical_cycle(g))
     antinef_indices = [ell for ell, rung in enumerate(star) if rung.antinef]

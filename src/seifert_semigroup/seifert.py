@@ -121,7 +121,6 @@ class SeifertInvariants:
     order_h: int
     orbit_order: int
     gamma: Fraction
-    omega_prime: tuple[int, ...]
 
 
 def invariants(sf: SeifertData) -> SeifertInvariants:
@@ -133,20 +132,18 @@ def invariants(sf: SeifertData) -> SeifertInvariants:
     if order_h.denominator != 1 or orbit_order.denominator != 1:
         raise VerificationError(f"|H| = {order_h} and the orbit order {orbit_order} must be integers")
     gamma = (sf.d - 2 - sum(Fraction(1, a) for a, _ in sf.legs)) / (-e)
-    omega_prime = tuple(pow(w, -1, a) for a, w in sf.legs)
     return SeifertInvariants(
         e=e,
         alpha=alpha,
         order_h=int(order_h),
         orbit_order=int(orbit_order),
         gamma=gamma,
-        omega_prime=omega_prime,
     )
 
 
 def quasilinear(sf: SeifertData, ell: int) -> int:
-    """N(ell) = b0*ell - sum_i ceil(ell*omega_i/alpha_i), exact for all ell."""
-    return sf.b0 * ell - sum(ceil_div(ell * w, a) for a, w in sf.legs)
+    """N(ell) = b0*ell - sum_i ceil(ell*omega_i/alpha_i), exact for every integer ell."""
+    return sf.b0 * require_int(ell, "ell") - sum(ceil_div(ell * w, a) for a, w in sf.legs)
 
 
 def quasilinear_values(sf: SeifertData, ells: range):

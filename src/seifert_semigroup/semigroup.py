@@ -89,7 +89,7 @@ class Link:
         return apery_selmer(self)
 
     def in_semigroup(self, ell: int) -> bool:
-        return ell >= self.ap.apery[ell % self.inv.alpha]
+        return require_int(ell, "ell") >= self.ap.apery[ell % self.inv.alpha]
 
     @cached_property
     def module(self) -> ModuleData:

@@ -197,7 +197,6 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     # theorem vs brute force: one period table against one brute scan of N over [0, alpha + gamma]
     link = Link(sf)
     ap = link.ap
-    check_augmentation = inv.alpha + inv.gamma <= 3000  # that check reuses the table and the scan
     if not sf.trivial:
         gaps = gap_window(sf)
         f_brute = gaps.rfind(1)
@@ -214,19 +213,16 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
         gaps = bytes(start + 1)  # gap_window(sf): S = Z>=0 has no gap
-    if not check_augmentation:
-        del link, ap  # free the table before the module checks, which need memory of their own
     # both module routes decide rationality, so they are compared on every record
     route("module_frobenius_agreement", lambda: agree(
         rational_or(laufer.frobenius_module, g), rational_or(frobenius_bruteforce, sf, "module"), "module "))
 
     # ladder duality, when the ladder is short enough to walk
-    big_delta = zk.num[0] // zk.den  # m_0(Z_K - r_[Z_K]) = floor(m_0(Z_K))
-    if big_delta <= 400:
+    if g.scalars.big_delta <= 400:
         route("ladder_duality", laufer.dual_check, sf)
 
-    # module/semigroup comparison through the augmentation
-    if check_augmentation:
+    # module/semigroup comparison through the augmentation, which reuses the table and the scan
+    if inv.alpha + inv.gamma <= 3000:
         route("augmented_module_stabilises", verify_prop_comp, link, gaps)
 
     return results

@@ -21,7 +21,7 @@ from seifert_semigroup import (
     monoid_sieve,
     strongly_flat_check,
 )
-from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, _slot_exponents, check_generators
+from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, check_generators
 from seifert_semigroup.cli import full_report
 from seifert_semigroup.seifert import QuasilinearTable
 from seifert_semigroup.semigroup import minimal_generators, minimal_generators_of_monoid
@@ -101,6 +101,19 @@ def test_generator_sets_are_minimal(exponents):
     assert minimal_generators_of_monoid(gens) == gens
 
 
+def test_classification_keeps_the_slot_exponents_and_orbit_order():
+    cls = classify((7, 6, 10))
+    assert (cls.case, cls.slot_exponents, cls.p, cls.orbit_order) == (CASE_I, (6, 10, 7), (3, 5, 7), 1)
+    cls = classify((14, 11, 6, 20))
+    assert (cls.case, cls.slot_exponents, cls.p, cls.orbit_order) == (CASE_II, (20, 14, 6, 11), (5, 7, 3, 11), 2)
+
+
+@pytest.mark.parametrize("function", [bh_seifert, bh_generators])
+def test_not_qhs_is_refused_by_the_library(function):
+    with pytest.raises(ValueError, match=r"^exponents \(4, 4, 4\) give positive genus \(not a QHS\)$"):
+        function(classify((4, 4, 4)))
+
+
 def test_case_i_with_m_one_is_strongly_flat():
     cls = classify((3, 5, 11))
     assert cls.case == CASE_I and cls.m == 1
@@ -132,7 +145,7 @@ def search_bh_seifert(cls):
     if cls.case == CASE_I:
         omegas = [
             pow(big_lcm // a_i, -1, alpha_i) * (alpha_i - 1) % alpha_i if alpha_i > 1 else 0
-            for a_i, alpha_i in zip(_slot_exponents(cls), cls.alphas)
+            for a_i, alpha_i in zip(cls.slot_exponents, cls.alphas)
         ]
         legs = _leg_list(cls, omegas)
         if len(legs) < 3:

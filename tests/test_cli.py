@@ -15,6 +15,7 @@ from seifert_semigroup import (
     RationalLinkError,
     SeifertData,
     VerificationError,
+    cli,
     frobenius_bruteforce,
     ihs_from_alphas,
     lattice,
@@ -450,6 +451,15 @@ def test_batch_bad_record_exit_code(tmp_path):
     assert result["id"] == "bad" and "error" in result
 
 
+def test_batch_error_record_is_never_empty(monkeypatch):
+    """An exception with no text, such as MemoryError(), is named by its type."""
+    def out_of_memory(record):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "full_report", out_of_memory)
+    assert cli._batch_one('{"id":"r3","alphas":[2,3,7]}') == ('{"id": "r3", "error": "MemoryError"}', True)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_batch_rejects_jobs_below_one(jobs, tmp_path, capsys):
     infile = tmp_path / "in.jsonl"
@@ -653,6 +663,64 @@ def test_no_bare_asserts_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _package_trees():
+    """(file name, parsed module, child -> parent map) for every module of the package."""
+    package = Path(__file__).parents[1] / "src" / "seifert_semigroup"
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        yield path.name, tree, {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+
+def _enclosing_function(node, parents) -> str | None:
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name
+    return None
+
+
+def test_no_floats_in_the_package():
+    """Exact arithmetic: no call to float, and the only float literals are the two
+    probabilities that pick seeded random draws in verification.py."""
+    calls, literals = [], []
+    for name, tree, parents in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                calls.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                literals.append((name, _enclosing_function(node, parents), node.value))
+    assert calls == []
+    assert sorted(literals) == [("verification.py", "random_seifert", 0.15), ("verification.py", "verify_seifert", 0.5)]
+
+
+def test_the_step_budget_has_one_source():
+    """The package reads one environment variable, SEIFERT_STEP_BUDGET, in
+    laufer._step_budget only, and no function takes a step_budget parameter."""
+    reads, parameters = [], []
+    for name, tree, parents in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and getattr(node, "id", getattr(node, "attr", "")) in (
+                "environ", "environb", "getenv", "getenvb"
+            ):
+                # the key of os.environ.get(key), os.environ[key] or os.getenv(key), else None
+                parent, key = parents[node], None
+                if isinstance(parent, ast.Attribute) and parent.attr == "get":
+                    parent = parents[parent]
+                if isinstance(parent, ast.Call) and parent.args:
+                    key = parent.args[0]
+                elif isinstance(parent, ast.Subscript):
+                    key = parent.slice
+                key = key.value if isinstance(key, ast.Constant) else None
+                reads.append((name, _enclosing_function(node, parents), key))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+                if "step_budget" in params:
+                    parameters.append(f"{name}:{getattr(node, 'name', 'lambda')}")
+    assert reads == [("laufer.py", "_step_budget", "SEIFERT_STEP_BUDGET")]
+    assert parameters == []
 
 
 def test_only_check_result_has_a_passed_field():

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from seifert_semigroup import (
+    Link,
     SeifertData,
     augment,
     classify,
@@ -21,6 +22,7 @@ from seifert_semigroup import (
     ihs_from_alphas,
     ihs_generators,
     poincare,
+    quasilinear,
     tau_sequence,
     x_series,
     zero_cycle,
@@ -46,6 +48,8 @@ INTEGER_ENTRY_POINTS = {
     "poincare": (lambda v: poincare(SeifertData(1, BASE4_LEGS), v), "up_to"),
     "tau_sequence": (lambda v: tau_sequence(SeifertData(1, BASE4_LEGS), v), "up_to"),
     "x_series": (lambda v: x_series(G237, zero_cycle(G237.n), v), "up_to"),
+    "quasilinear": (lambda v: quasilinear(ihs_from_alphas([2, 3, 7]), v), "ell"),
+    "Link.in_semigroup": (lambda v: Link(ihs_from_alphas([2, 3, 7])).in_semigroup(v), "ell"),
 }
 
 

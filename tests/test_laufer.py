@@ -257,19 +257,21 @@ def test_dual_check_sign_pattern(sf_star70):
     assert series.cycles[sc.delta] == sc.s_cycle
 
 
-def test_step_budget_guard(sf_gor7):
+def test_step_budget_guard(sf_gor7, monkeypatch):
     g = build_graph(sf_gor7)
     r = class_rep(canonical_cycle(g) + dual_cycle(g, 0))
+    monkeypatch.setenv("SEIFERT_STEP_BUDGET", "3")
     with pytest.raises(ValueError):
-        to_antinef(g, r, step_budget=3)
+        to_antinef(g, r)
 
 
-def test_ladder_step_budget_applies_per_rung(sf_gor7):
+def test_ladder_step_budget_applies_per_rung(sf_gor7, monkeypatch):
     g = build_graph(sf_gor7)
+    monkeypatch.setenv("SEIFERT_STEP_BUDGET", "3")
     for rep_cycle in (zero_cycle(g.n), canonical_cycle(g), canonical_cycle(g) + dual_cycle(g, 0)):
         with pytest.raises(ValueError, match=r"^computation sequence exceeded the step budget "
                            r"SEIFERT_STEP_BUDGET = 3$"):
-            x_series(g, class_rep(rep_cycle), 5, step_budget=3)
+            x_series(g, class_rep(rep_cycle), 5)
 
 
 def test_unknown_strategy_rejected_before_the_loop(golden_graphs):
@@ -356,24 +358,24 @@ def test_worklist_kernel_matches_rescan_oracle(case, seed):
                 assert tr == want_steps
 
 
-def rung_by_rung_x_series(g, rep: RationalCycle, up_to: int, *, step_budget: int | None = None) -> XSeries:
+def rung_by_rung_x_series(g, rep: RationalCycle, up_to: int) -> XSeries:
     """Oracle: the ladder with one fresh restricted sequence per rung (the
     x_series before the ladder walker), copied verbatim."""
     if up_to < 0:
         raise ValueError("up_to must be >= 0")
     restricted = range(1, g.n)
     e0 = unit_cycle(g.n, 0)
-    current, _ = to_antinef(g, rep, vertices=restricted, step_budget=step_budget)
+    current, _ = to_antinef(g, rep, vertices=restricted)
     cycles = [current]
     for _ in range(up_to):
-        current, _ = to_antinef(g, current + e0, vertices=restricted, step_budget=step_budget)
+        current, _ = to_antinef(g, current + e0, vertices=restricted)
         cycles.append(current)
     r0 = rep[0]
     for ell, x in enumerate(cycles):
         if x[0] != r0 + ell:
             raise VerificationError(f"central coefficient of x^{ell} is {x[0]}, not {r0 + ell}")
     n_values = tuple(-pairing_with_vertex(g, x, 0) for x in cycles)
-    return XSeries(rep=rep, cycles=tuple(cycles), n_values=n_values)
+    return XSeries(cycles=tuple(cycles), n_values=n_values)
 
 
 @st.composite
