@@ -138,9 +138,8 @@ def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> int:
     :class:`VerificationError`.
     """
     sf, inv = link.sf, link.inv
-    window = floor_frac(inv.alpha + inv.gamma)
-    if not sf.trivial and len(gaps) <= window:
-        raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(alpha + gamma) = {window}")
+    if not sf.trivial and len(gaps) <= inv.window:
+        raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(alpha + gamma) = {inv.window}")
     f_base = None if sf.trivial else gaps.rfind(1)
     n_used = threshold(link) if n is None else n
     failure = _prop_comp_once(augment(sf, n_used), gaps, f_base)

@@ -17,13 +17,11 @@ errors included), 2 on verification failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import laufer, verification
@@ -41,6 +39,8 @@ from .semigroup import (
     Link,
     frobenius_bruteforce,
     frobenius_by_formula,
+    frobenius_module_raw,
+    min_module,
     minimal_generators,
     poincare,
     symmetry_report,
@@ -139,11 +139,12 @@ def full_report(record: dict) -> dict:
     cls = record_bh(record) if "bh" in record else None
     link = Link(record_seifert(record) if cls is None else bh_seifert(cls))
     out = _start(record)
-    out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
+    raw = frobenius_module_raw(link)  # first, so the module pass runs here and not in symmetry_report
+    out["invariants"] = invariants_block(link.inv, link.gorenstein, raw < 0)
     semi = semigroup_block(link)
     semi["symmetric"] = link.sf.trivial or symmetry_report(link).symmetric
     out["semigroup"] = semi
-    out["module"] = {"frobenius": link.module_frobenius_raw, "min": link.module_min}
+    out["module"] = {"frobenius": raw, "min": min_module(link)}
     if cls is not None:
         gens = bh_generators(cls)
         check_generators(link, gens, semi["generators"])
@@ -198,7 +199,7 @@ def cmd_frobenius(record: dict, out: dict, args) -> None:
 def cmd_semigroup(record: dict, out: dict, args) -> None:
     link = Link(record_seifert(record))
     up_to = args.up_to if args.up_to is not None else max(0, ceil_frac(link.inv.gamma))
-    out["invariants"] = invariants_block(link.inv, link.gorenstein, link.rational)
+    out["invariants"] = invariants_block(link.inv, link.gorenstein, frobenius_module_raw(link) < 0)
     out["members"] = list(filter(link.in_semigroup, range(up_to + 1)))
     out["semigroup"] = semigroup_block(link)
     if not link.sf.trivial:
@@ -314,6 +315,9 @@ def _batch_one(line: str) -> tuple[str, bool]:
 
 
 def cmd_batch(args) -> int:
+    import csv  # batch alone needs csv and the process pool, so one-shot commands skip their imports
+    from concurrent.futures import ProcessPoolExecutor
+
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.infile, "r", encoding="utf-8") as fh:

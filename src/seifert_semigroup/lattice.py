@@ -99,9 +99,6 @@ class StarGraph:
     def d(self) -> int:
         return len(self.legs)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -169,7 +166,7 @@ def intersection_matrix(g: StarGraph) -> tuple[tuple[int, ...], ...]:
     m = [[0] * g.n for _ in range(g.n)]
     for v in range(g.n):
         m[v][v] = g.euler[v]
-        for u in g.neighbors(v):
+        for u in g.adjacency[v]:
             m[v][u] = 1
     return tuple(tuple(row) for row in m)
 
@@ -276,7 +273,7 @@ def unit_cycle(n: int, v: int) -> RationalCycle:
 def pairing_with_vertex(g: StarGraph, l: RationalCycle, v: int) -> Fraction:
     """(l, E_v) = euler(v) * l_v + sum of l over the neighbours of v."""
     a = l.num
-    return Fraction(g.euler[v] * a[v] + sum(a[u] for u in g.neighbors(v)), l.den)
+    return Fraction(g.euler[v] * a[v] + sum(a[u] for u in g.adjacency[v]), l.den)
 
 
 def vertex_pairings(g: StarGraph, a: Sequence[int]) -> list[int]:

@@ -116,11 +116,14 @@ class SeifertData:
 
 @dataclass(frozen=True)
 class SeifertInvariants:
+    """e, alpha, |H|, o and gamma, and ``window`` = floor(alpha + gamma): N >= 0 above it."""
+
     e: Fraction
     alpha: int
     order_h: int
     orbit_order: int
     gamma: Fraction
+    window: int
 
 
 def invariants(sf: SeifertData) -> SeifertInvariants:
@@ -138,6 +141,7 @@ def invariants(sf: SeifertData) -> SeifertInvariants:
         order_h=int(order_h),
         orbit_order=int(orbit_order),
         gamma=gamma,
+        window=alpha + floor_frac(gamma),  # alpha is an integer; no Fraction sum
     )
 
 
@@ -257,10 +261,7 @@ def geometric_genus(sf: SeifertData) -> int:
 
     Only levels 0 <= ell <= gamma can contribute, as N(ell) >= -1 above gamma.
     """
-    gamma = sf.inv.gamma
-    if gamma < 0:
-        return 0
-    deficits = map(operator.invert, quasilinear_values(sf, range(floor_frac(gamma) + 1)))  # -1 - N
+    deficits = map(operator.invert, quasilinear_values(sf, range(floor_frac(sf.inv.gamma) + 1)))  # -1 - N
     return sum(map(max, itertools.repeat(0), deficits))
 
 

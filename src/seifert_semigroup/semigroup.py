@@ -68,8 +68,8 @@ class Link:
     The Link keeps the table and Ap and no other alpha-sized container.  For
     o = 1, N(ell + alpha) = N(ell) + 1 makes the module M = {N >= -1} equal to
     S - alpha, which ``module`` reads off Ap; otherwise it makes one pass over
-    the m_r.  ``ap``, ``module_min`` and ``module_frobenius_raw`` cache
-    :func:`apery_selmer`, :func:`min_module` and :func:`frobenius_module_raw`.
+    the m_r.  ``ap`` caches :func:`apery_selmer`; :func:`min_module` and
+    :func:`frobenius_module_raw` read ``module``.
     """
 
     def __init__(self, sf: SeifertData):
@@ -103,19 +103,6 @@ class Link:
         return ModuleData(min=lo, frobenius_raw=max(minima) - alpha, principal=all(map(operator.eq, minima, rotated)))
 
     @cached_property
-    def module_min(self) -> int:
-        return min_module(self)
-
-    @cached_property
-    def module_frobenius_raw(self) -> int:
-        return frobenius_module_raw(self)
-
-    @property
-    def rational(self) -> bool:
-        """Every nonnegative integer lies in the module (equivalently p_g = 0)."""
-        return self.module_frobenius_raw < 0
-
-    @cached_property
     def gorenstein(self) -> bool:
         return is_numerically_gorenstein(self.sf)
 
@@ -133,7 +120,7 @@ def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     if kind == "semigroup":
         if sf.trivial:
             raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
-        ells = range(floor_frac(inv.alpha + inv.gamma), 0, -1)
+        ells = range(inv.window, 0, -1)
         hit = next(compress(ells, map((0).__gt__, quasilinear_values(sf, ells))), None)
         if hit is None:
             raise VerificationError(f"no gap in (0, alpha + gamma] though N(1) = b0 - d = {sf.b0 - sf.d} < 0")
@@ -204,8 +191,7 @@ def gap_window(sf: SeifertData) -> bytes:
 
     No gap lies above alpha + gamma: ``rfind(1)`` is the Frobenius number and ``count(1)`` the gap count.
     """
-    inv = sf.inv
-    return bytes(map((0).__gt__, quasilinear_values(sf, range(floor_frac(inv.alpha + inv.gamma) + 1))))
+    return bytes(map((0).__gt__, quasilinear_values(sf, range(sf.inv.window + 1))))
 
 
 def gap_count_direct(sf: SeifertData) -> int:

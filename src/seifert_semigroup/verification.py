@@ -119,13 +119,12 @@ def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, produ
     )
 
 
-def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[CheckResult]:
+def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
     """Run the per-input invariant and oracle-agreement suite.
 
     A check is a condition computed here or a route: a call that returns, or
     raises :class:`VerificationError` with the reason, which fails that check alone.
     """
-    rng = rng or random.Random(0)
     inv, g = sf.inv, sf.graph
     zk = canonical_cycle(g)
     results: list[CheckResult] = []
@@ -174,8 +173,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
     diffs = ((ell % alpha, quasilinear(sf, ell) - ceil_div(ell, alpha) * o) for ell in sample)
     check("quasilinear_bounds", all(lo_bound <= diff <= -1 if r else diff == 0 for r, diff in diffs),
           "N(ell) - ceil(ell/alpha)*o out of range")
-    start = floor_frac(inv.alpha + inv.gamma)
-    probe = rng.sample(range(start + 1, start + 2 * alpha + 1), min(40, 2 * alpha))
+    probe = rng.sample(range(inv.window + 1, inv.window + 2 * alpha + 1), min(40, 2 * alpha))
     check("nonnegative_beyond_window", all(quasilinear(sf, ell) >= 0 for ell in probe),
           "N < 0 beyond alpha + gamma")
 
@@ -206,13 +204,13 @@ def verify_seifert(sf: SeifertData, rng: random.Random | None = None) -> list[Ch
         route("symmetry_principality", symmetry_report, link, quiet=True)  # symmetry vs principality
         if link.gorenstein:
             check("gorenstein_min_plus_frobenius",
-                  link.module_min + f_brute == inv.gamma,
+                  semigroup.min_module(link) + f_brute == inv.gamma,
                   "min(M) + f_S != gamma")
             route("gorenstein_symmetry", semigroup.gorenstein_symmetry_check, link)
     else:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
-        gaps = bytes(start + 1)  # gap_window(sf): S = Z>=0 has no gap
+        gaps = bytes(inv.window + 1)  # gap_window(sf): S = Z>=0 has no gap
     # both module routes decide rationality, so they are compared on every record
     route("module_frobenius_agreement", lambda: agree(
         rational_or(laufer.frobenius_module, g), rational_or(frobenius_bruteforce, sf, "module"), "module "))

@@ -470,6 +470,18 @@ def test_batch_rejects_jobs_below_one(jobs, tmp_path, capsys):
     assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+def test_cli_import_leaves_out_what_only_batch_runs():
+    """csv and the process pool (with its multiprocessing chain) are imported by
+    `batch` alone, so a one-shot command does not pay for them."""
+    probe = (
+        "import sys, seifert_semigroup.cli\n"
+        "print(*(m for m in ('multiprocessing', 'concurrent.futures', 'csv') if m in sys.modules))\n"
+    )
+    result = _python("-c", probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
+
+
 SEIFERT_LEGS = '[[2,1],[3,1],[7,1]]'
 
 

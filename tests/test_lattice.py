@@ -82,7 +82,7 @@ def test_pairing_basics(golden_graphs):
             ev = unit_cycle(g.n, v)
             assert pairing(g, ev, ev) == g.euler[v]
             for u in range(g.n):
-                expected = g.euler[v] if u == v else (1 if u in g.neighbors(v) else 0)
+                expected = g.euler[v] if u == v else (1 if u in g.adjacency[v] else 0)
                 assert pairing(g, unit_cycle(g.n, u), ev) == expected
 
 

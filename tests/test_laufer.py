@@ -118,7 +118,7 @@ def test_lattice_module_value_decides_rationality(sf):
     """gamma - s is the largest integer outside the module, read off the
     period table, and it is negative exactly when p_g = 0."""
     value = frobenius_module_raw(sf.graph)
-    assert value == Link(sf).module_frobenius_raw
+    assert value == Link(sf).module.frobenius_raw
     assert (value < 0) == (geometric_genus(sf) == 0)
     if value < 0:
         with pytest.raises(RationalLinkError):

@@ -75,7 +75,7 @@ def test_link_matches_direct_scans(sf):
     assert link.ap.gaps == len(gaps)
     assert min_module(link) == module_min
     assert frobenius_module_raw(link) == module_raw
-    assert link.rational == (module_raw < 0) == is_rational_link(sf)
+    assert (frobenius_module_raw(link) < 0) == (module_raw < 0) == is_rational_link(sf)
     assert minimal_generators(link) == generators
     window = range(bottom - alpha, top + alpha + 1)
     assert [ell for ell in window if link.in_semigroup(ell)] == [ell for ell in window if n(ell) >= 0]

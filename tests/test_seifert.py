@@ -101,11 +101,13 @@ def test_quasilinear_window_bounds(sf):
             assert lo <= diff <= -1
 
 
-@pytest.mark.parametrize("sf", _sf_pool())
+@pytest.mark.parametrize("sf", [*_sf_pool(), SeifertData(2, ((2, 1), (2, 1), (3, 1)))])  # the last: gamma = -1/2
 def test_nonnegative_beyond_alpha_plus_gamma(sf):
+    """N >= 0 above floor(alpha + gamma), which ``inv.window`` holds as alpha + floor(gamma)."""
     inv = invariants(sf)
     top = inv.alpha + inv.gamma
     start = top.numerator // top.denominator + 1
+    assert inv.window == start - 1
     for ell in range(start, start + 2 * inv.alpha):
         assert quasilinear(sf, ell) >= 0
 
