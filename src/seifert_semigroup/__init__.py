@@ -11,7 +11,7 @@ together.
 
 from .augment import AugmentedPair, augment, c_n, verify_prop_comp, zk_identity_check
 from .brieskorn import BHClassification, bh_generators, bh_seifert, classify
-from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
+from .errors import TrivialSemigroupError, VerificationError
 from .lattice import (
     RationalCycle,
     StarGraph,

@@ -165,7 +165,7 @@ def full_report(record: dict) -> dict:
 
 def cmd_info(record: dict, out: dict, args) -> None:
     sf = record_seifert(record)
-    rational = laufer.frobenius_module_raw(sf.graph) < 0
+    rational = laufer.frobenius_module(sf.graph) < 0
     out["invariants"] = invariants_block(sf.inv, is_numerically_gorenstein(sf), rational)
     out["zk"] = fmt_cycle(canonical_cycle(sf.graph))
 
@@ -185,15 +185,11 @@ def cmd_frobenius(record: dict, out: dict, args) -> None:
         semi["frobenius"] = _by_method(
             args.method, lambda: frobenius_by_formula(sf), lambda: frobenius_bruteforce(sf)
         )
-    # each module route decides rationality on its own, so "both" compares that too
-    frobenius = _by_method(
-        args.method,
-        lambda: verification.rational_or(laufer.frobenius_module, sf.graph),
-        lambda: verification.rational_or(frobenius_bruteforce, sf, "module"),
-        "module ",
+    # each module route decides rationality by its sign, so "both" compares that too
+    raw = _by_method(
+        args.method, lambda: laufer.frobenius_module(sf.graph), lambda: frobenius_bruteforce(sf, "module"), "module "
     )
-    rational = frobenius == "rational"
-    out["module"] = {"rational": rational, "frobenius": None if rational else frobenius}
+    out["module"] = {"rational": raw < 0, "frobenius": None if raw < 0 else raw}
 
 
 def cmd_semigroup(record: dict, out: dict, args) -> None:
@@ -303,15 +299,16 @@ _CSV_SOURCE = {
 }
 
 
-def _batch_one(line: str) -> tuple[str, bool]:
-    """Process one JSONL record; returns (result line, had_error)."""
+def _batch_one(line: str) -> tuple[str, int]:
+    """Process one JSONL record; returns (result line, exit code): 2 on a VerificationError, 1 on any other."""
     obj = None
     try:
         obj = json.loads(line)
-        return json.dumps(full_report(parse_record(obj))), False
+        return json.dumps(full_report(parse_record(obj))), EXIT_OK
     except Exception as ex:  # noqa: BLE001 - per-record error reporting
         ident = obj.get("id", "") if isinstance(obj, dict) else ""
-        return json.dumps({"id": ident, "error": str(ex) or type(ex).__name__}), True
+        code = EXIT_VERIFY if isinstance(ex, VerificationError) else EXIT_INPUT
+        return json.dumps({"id": ident, "error": str(ex) or type(ex).__name__}), code
 
 
 def cmd_batch(args) -> int:
@@ -327,15 +324,15 @@ def cmd_batch(args) -> int:
             outcomes = list(pool.map(_batch_one, lines, chunksize=8))
     else:
         outcomes = [_batch_one(line) for line in lines]
-    had_error = any(err for _, err in outcomes)
+    code = max((c for _, c in outcomes), default=EXIT_OK)
 
     if args.format == "csv" or (args.out and args.out.endswith(".csv") and args.format == "auto"):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["id", "error", *_CSV_SOURCE])
-        for text, err in outcomes:
+        for text, c in outcomes:
             result = json.loads(text)
-            cells = [""] * len(_CSV_SOURCE) if err else [result[s][k] for s, k in _CSV_SOURCE.values()]
+            cells = [""] * len(_CSV_SOURCE) if c else [result[s][k] for s, k in _CSV_SOURCE.values()]
             writer.writerow([result.get("id", ""), result.get("error", ""), *cells])
         payload = buf.getvalue()
     else:
@@ -346,7 +343,7 @@ def cmd_batch(args) -> int:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
-    return EXIT_INPUT if had_error else EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +425,8 @@ def main(argv=None) -> int:
     except VerificationError as ex:
         print(f"verification failure: {ex}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, KeyError, OSError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, MemoryError) as ex:
+        print(f"error: {str(ex) or type(ex).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

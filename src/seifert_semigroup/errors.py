@@ -5,11 +5,6 @@ class TrivialSemigroupError(ValueError):
     """The semigroup is all of the nonnegative integers (b0 >= d)."""
 
 
-class RationalLinkError(ValueError):
-    """The link is rational: the module contains every nonnegative integer,
-    so it has no positive Frobenius number."""
-
-
 class VerificationError(AssertionError):
     """Two independent routes to the same quantity disagree.
 

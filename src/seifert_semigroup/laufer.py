@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import RationalLinkError, VerificationError
+from .errors import VerificationError
 from .lattice import (
     RationalCycle,
     StarGraph,
@@ -285,7 +285,7 @@ def scalars(g: StarGraph) -> LauferScalars:
     )
 
 
-def frobenius_module_raw(g: StarGraph) -> int:
+def frobenius_module(g: StarGraph) -> int:
     """gamma - s, the largest integer outside the module of the link, by the lattice formula.
 
     Compared with Delta - delta - 1 and the central coefficient of
@@ -306,15 +306,6 @@ def frobenius_module_raw(g: StarGraph) -> int:
     if value.denominator != 1 or value == 0:
         raise VerificationError(f"module Frobenius number {value} is not a nonzero integer")
     return int(value)
-
-
-def frobenius_module(g: StarGraph) -> int:
-    """Frobenius number of the module of the link: :func:`frobenius_module_raw`,
-    which is negative on rational links, where this raises :class:`RationalLinkError`."""
-    value = frobenius_module_raw(g)
-    if value < 0:
-        raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
-    return value
 
 
 def dual_check(sf: SeifertData) -> None:

@@ -2,10 +2,10 @@
 
 Membership is governed by the quasi-linear function N: the semigroup is
 {ell : N(ell) >= 0}, the module is {ell : N(ell) >= -1}.  Both Frobenius
-numbers admit honest brute-force scans over windows that are theorems (the
-semigroup scan is exact on (0, alpha + gamma], the module scan on
-(0, gamma]), and both admit closed lattice formulas; the two routes are kept
-separate so each can certify the other.
+numbers admit honest scans down from alpha + gamma and gamma (theorems put
+no gap above them) to -1 - alpha, where N <= -2, so the module value is
+negative exactly on rational links; both admit closed lattice formulas, kept
+separate so that each route certifies the other.
 
 Every other semigroup and module quantity is read off one :class:`Link` per
 record: one table of N over a period gives the least element of each residue
@@ -28,7 +28,7 @@ from functools import cached_property
 from itertools import compress, cycle, islice, repeat
 from typing import Iterator, Sequence
 
-from .errors import RationalLinkError, TrivialSemigroupError, VerificationError
+from .errors import TrivialSemigroupError, VerificationError
 from .seifert import (
     QuasilinearTable,
     SeifertData,
@@ -108,37 +108,33 @@ class Link:
 
 
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
-    """Largest non-member, by direct descending scan of N.
+    """Largest non-member, by one descending scan of N, signed for the module.
 
-    The scan windows are exact: N(ell) >= 0 for ell > alpha + gamma, and
-    N(ell) >= -1 for ell > gamma, so the first hit from the top is the
-    Frobenius number.  The module scan is also the brute-force rationality
-    test: p_g sums max(0, -1 - N(ell)) over [0, gamma] and N(0) = 0, so a
-    scan without a hit means p_g = 0 and raises :class:`RationalLinkError`.
+    The first ell from the top with N(ell) below the level (0 for S, -1 for
+    M) is the Frobenius number: no gap of S lies above alpha + gamma, and
+    N(ell) >= -1 above gamma.  The scan runs down to -1 - alpha, where
+    N = -b0 - o <= -2, so it always hits; the module value is negative
+    exactly when [0, gamma] holds no N <= -2, i.e. p_g = 0 and the link is
+    rational.  A scan without a hit is a broken N kernel.
     """
     inv = sf.inv
     if kind == "semigroup":
         if sf.trivial:
             raise TrivialSemigroupError("b0 >= d: the semigroup is all of Z_{>=0}")
-        ells = range(inv.window, 0, -1)
-        hit = next(compress(ells, map((0).__gt__, quasilinear_values(sf, ells))), None)
-        if hit is None:
-            raise VerificationError(f"no gap in (0, alpha + gamma] though N(1) = b0 - d = {sf.b0 - sf.d} < 0")
-        return hit
-    if kind == "module":
-        ells = range(floor_frac(inv.gamma), 0, -1)
-        hit = next(compress(ells, map((-2).__ge__, quasilinear_values(sf, ells))), None)
-        if hit is None:
-            raise RationalLinkError("rational link: the module contains all of Z_{>=0}")
-        return hit
-    raise ValueError(f"unknown kind {kind!r}")
+        top, level = inv.window, 0
+    elif kind == "module":
+        top, level = floor_frac(inv.gamma), -1
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    ells = range(top, -inv.alpha - 2, -1)
+    hit = next(compress(ells, map(level.__gt__, quasilinear_values(sf, ells))), None)
+    if hit is None:
+        raise VerificationError(f"no {kind} gap in [-1 - alpha, {top}], though N(-1 - alpha) = -b0 - o < {level}")
+    return hit
 
 
 def frobenius_module_raw(link: Link) -> int:
-    """max{ell : ell not in the module}, defined for every link.
-
-    Negative for rational links; equals the module Frobenius number otherwise.
-    """
+    """The module's signed Frobenius number, the largest integer outside it: negative exactly on rational links."""
     return link.module.frobenius_raw
 
 

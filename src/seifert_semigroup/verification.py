@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import laufer, semigroup
 from .augment import verify_prop_comp
-from .errors import RationalLinkError, VerificationError
+from .errors import VerificationError
 from .lattice import (
     canonical_cycle,
     class_rep,
@@ -53,14 +53,6 @@ def agree(formula, brute, what: str = ""):
     if formula != brute:
         raise VerificationError(f"{what}formula {formula} != brute {brute}")
     return formula
-
-
-def rational_or(route, *args):
-    """``route(*args)``, or "rational" where that module Frobenius route raises RationalLinkError."""
-    try:
-        return route(*args)
-    except RationalLinkError:
-        return "rational"
 
 
 def random_seifert(
@@ -211,9 +203,9 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
         gaps = bytes(inv.window + 1)  # gap_window(sf): S = Z>=0 has no gap
-    # both module routes decide rationality, so they are compared on every record
-    route("module_frobenius_agreement", lambda: agree(
-        rational_or(laufer.frobenius_module, g), rational_or(frobenius_bruteforce, sf, "module"), "module "))
+    # both module routes decide rationality by their sign, so they are compared on every record
+    route("module_frobenius_agreement",
+          lambda: agree(laufer.frobenius_module(g), frobenius_bruteforce(sf, "module"), "module "))
 
     # ladder duality, when the ladder is short enough to walk
     if g.scalars.big_delta <= 400:

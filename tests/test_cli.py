@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 from seifert_semigroup import (
-    RationalLinkError,
     SeifertData,
     VerificationError,
     cli,
@@ -222,7 +221,7 @@ def test_verify_catches_a_planted_table_fault(alphas, fault, monkeypatch, capsys
 
 
 def _rational(*args):
-    raise RationalLinkError("rational link")
+    return -1
 
 
 def _brute_calls_the_module_rational(sf, kind="semigroup"):
@@ -235,9 +234,9 @@ def _brute_calls_the_module_rational(sf, kind="semigroup"):
         ("seifert_semigroup.cli", "frobenius_by_formula", lambda *args: 99, "formula 99 != brute 3"),
         ("seifert_semigroup.laufer", "frobenius_module", lambda *args: 99, "module formula 99 != brute 2"),
         # each module route decides rationality on its own, and `both` compares the verdicts
-        ("seifert_semigroup.laufer", "frobenius_module", _rational, "module formula rational != brute 2"),
+        ("seifert_semigroup.laufer", "frobenius_module", _rational, "module formula -1 != brute 2"),
         ("seifert_semigroup.cli", "frobenius_bruteforce", _brute_calls_the_module_rational,
-         "module formula 2 != brute rational"),
+         "module formula 2 != brute -1"),
     ],
     ids=["semigroup", "module", "formula-rational", "brute-rational"],
 )
@@ -256,8 +255,8 @@ def test_verify_reports_a_rationality_disagreement(monkeypatch, capsys):
     code, out = run_cli(capsys, "verify", SEC5)
     assert code == 2
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert fails[0] == "FAIL module_frobenius_agreement  (module formula rational != brute 2)"
-    assert fails[1].startswith("FAIL augmented_module_stabilises  (augmented graph is rational at n = ")
+    assert fails[0] == "FAIL module_frobenius_agreement  (module formula -1 != brute 2)"
+    assert fails[1].startswith("FAIL augmented_module_stabilises  (module Frobenius -1 != semigroup Frobenius ")
     assert len(fails) == 2
     monkeypatch.undo()
     code, out = run_cli(capsys, "verify", '{"alphas":[2,3,5]}')
@@ -457,7 +456,34 @@ def test_batch_error_record_is_never_empty(monkeypatch):
         raise MemoryError()
 
     monkeypatch.setattr(cli, "full_report", out_of_memory)
-    assert cli._batch_one('{"id":"r3","alphas":[2,3,7]}') == ('{"id": "r3", "error": "MemoryError"}', True)
+    assert cli._batch_one('{"id":"r3","alphas":[2,3,7]}') == ('{"id": "r3", "error": "MemoryError"}', 1)
+
+
+def test_batch_exits_2_on_a_verification_failure(monkeypatch, tmp_path):
+    """A record that fails verification makes `batch` exit 2, also next to a bad-input record."""
+    def skewed(record):
+        raise VerificationError("planted")
+
+    monkeypatch.setattr(cli, "full_report", skewed)
+    infile, outfile = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    infile.write_text('{"id":"v","alphas":[2,3,7]}\n')
+    assert main(["batch", "--in", str(infile), "--out", str(outfile)]) == 2
+    assert json.loads(outfile.read_text()) == {"id": "v", "error": "planted"}
+    infile.write_text('{"id":"bad"\n{"id":"v","alphas":[2,3,7]}\n')
+    assert [cli._batch_one(line)[1] for line in infile.read_text().splitlines()] == [1, 2]
+    assert main(["batch", "--in", str(infile), "--out", str(outfile)]) == 2
+
+
+def test_main_reports_a_memory_error_in_one_line(monkeypatch, capsys):
+    """A command that runs out of memory ends in one ``error:`` line naming the type, and exit 1."""
+    def out_of_memory(sf):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "Link", out_of_memory)
+    assert main(["semigroup", '{"alphas":[2,3,7]}']) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -94,9 +94,9 @@ print(*(names.count(f"semigroup.{f}") for f in ("apery_selmer", "min_module", "f
 
 
 def test_the_link_passes_are_traced_once_per_report():
-    """``Link.ap``, ``module_min`` and ``module_frobenius_raw`` run through the
-    traced functions, so each pass is one span of its own and not time of
-    ``cli.full_report``."""
+    """``Link.ap`` is built by ``apery_selmer`` and ``Link.module`` is read by
+    ``frobenius_module_raw`` and ``min_module``, all traced functions, so each
+    pass is one span of its own and not time of ``cli.full_report``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])}
     done = subprocess.run(
         [sys.executable, "-c", LINK_PASSES], capture_output=True, text=True, timeout=120, env=env
