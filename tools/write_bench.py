@@ -1,12 +1,12 @@
 """Write BENCH_<k>.json: the benchmark's numbers for the checked-out source.
 
-    python3 tools/write_bench.py [--out BENCH_1.json] [--seeds 1 2 3] [--seconds 10]
+    python3 tools/write_bench.py [--out BENCH_1.json]
 
 Run from anywhere; it works on the checkout that holds it.  For each
-workload of perfbench/run.py it makes one untraced run (--trace 0) per seed
-and one traced run (--trace 1) on the first seed, then times the tier-1
-suite and one `full_report` on the homology sphere with alphas
-(23, 29, 31, 37), alpha = 765,049.  The file holds:
+workload of perfbench/run.py it makes one 10 s untraced run (--trace 0) for
+each of the seeds 1, 2 and 3 and one 10 s traced run (--trace 1) on seed 1,
+then times the tier-1 suite and one `full_report` on the homology sphere with
+alphas (23, 29, 31, 37), alpha = 765,049.  The file holds:
 
 * the revision (``git rev-parse HEAD``), whether src/ differs from it, and
   run.py's ``src_sha256`` of the measured source;
@@ -35,6 +35,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN = os.path.join(ROOT, "perfbench", "run.py")
 WORKLOADS = ("batch-mixed", "formula-graph", "period-ihs", "verify-random")
 END_TO_END = ("records_per_s", "record_p50_ms", "record_tail_ms", "records_per_s_jobs2", "peak_rss_mb", "setup_s")
+SEEDS = (1, 2, 3)
+SECONDS = 10
 SPHERE = [23, 29, 31, 37]
 FULL_REPORT = """
 import json, sys, time, tracemalloc
@@ -60,10 +62,10 @@ def _git(*args) -> str:
     return done.stdout.strip()
 
 
-def run_bench(workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_bench(workload: str, seed: int, trace: int) -> dict:
     """One run.py run: its final JSON object, its host line and its notes."""
     done = subprocess.run(
-        [sys.executable, RUN, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+        [sys.executable, RUN, "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True,
     )
@@ -89,7 +91,7 @@ def end_to_end(runs: list[dict]) -> dict:
 def tier1() -> dict:
     t0 = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"],
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
         cwd=ROOT, capture_output=True, text=True, env=_env(),
     )
     wall = time.perf_counter() - t0
@@ -109,25 +111,23 @@ def full_report_cost() -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_1.json"))
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--seconds", type=float, default=10)
     args = ap.parse_args()
     workloads, host = {}, {}
     for workload in WORKLOADS:
-        runs = [run_bench(workload, seed, args.seconds, 0) for seed in args.seeds]
-        traced = run_bench(workload, args.seeds[0], args.seconds, 1)
+        runs = [run_bench(workload, seed, 0) for seed in SEEDS]
+        traced = run_bench(workload, SEEDS[0], 1)
         host = runs[0]["host"]
         workloads[workload] = {
             "correct": all(run["correct"] for run in runs + [traced]),
             "failed": sum(run["failed"] for run in runs + [traced]),
             "end_to_end": end_to_end(runs),
             "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
-            "pool_notes": [f"seed {seed}: {note}" for seed, run in zip(args.seeds, runs) for note in run["notes"]],
+            "pool_notes": [f"seed {seed}: {note}" for seed, run in zip(SEEDS, runs) for note in run["notes"]],
         }
     bench = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0|1",
-        "seeds": args.seeds,
-        "traced_seed": args.seeds[0],
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0|1",
+        "seeds": list(SEEDS),
+        "traced_seed": SEEDS[0],
         "revision": _git("rev-parse", "HEAD"),
         "src_differs_from_revision": bool(_git("status", "--porcelain", "--", "src")),
         "src_sha256": host.get("src_sha256"),
