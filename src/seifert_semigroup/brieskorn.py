@@ -20,8 +20,8 @@ q_i = lcm(a)/a_i of each slot, omega_i * q_i = -1 (mod alpha_i), and b0 gives
 the orbit order, one in case (i) and two in case (ii).  Both cases are one
 call of :func:`seifert.from_congruence`; nothing is searched and no table of
 N is built.  :func:`check_generators` compares the generator list with the
-minimal generators of the record's semigroup, where its period table is
-built and its generators sieved anyway.
+minimal generators of the record's semigroup, which for m = 1 in case (i),
+an integral homology sphere, the caller sieves out of the period table's Ap.
 """
 
 from __future__ import annotations

@@ -146,8 +146,10 @@ def full_report(record: dict) -> dict:
     out["semigroup"] = semi
     out["module"] = {"frobenius": raw, "min": min_module(link)}
     if cls is not None:
-        gens = bh_generators(cls)
-        check_generators(link, gens, semi["generators"])
+        gens, minimal = bh_generators(cls), semi["generators"]
+        if link.inv.order_h == 1:  # m = 1 in case (i): both lists are the theorem's, so sieve the table's Ap
+            minimal = verification.ihs_theorem(link, tuple(link.least(0)))
+        check_generators(link, gens, minimal)
         out["bh"] = {
             "case": cls.case,
             "m": cls.m,

@@ -8,13 +8,15 @@ negative exactly on rational links; both admit closed lattice formulas, kept
 separate so that each route certifies the other.
 
 Every other semigroup and module quantity is read off one :class:`Link` per
-record: one table of N over a period gives the least element of each residue
-class at each level, the Apery set at level 0 and the module minima at -1.
-The module is S - alpha for orbit order one and one pass over the minima
-otherwise.  The generators are sieved out of the Apery elements, one C-level
-pass per generator, and symmetry follows from Selmer's gap count.  Also here:
-the Apery set of a monoid given by generators, read the same way, strongly
-flat recognition, end-vertex projections of integral homology sphere
+record: one table of N over a period, built on first use, gives the least
+element of each residue class at each level, the Apery set at level 0 and
+the module minima at -1.  The module is S - alpha for orbit order one and one
+pass over the minima otherwise.  The generators are sieved out of the Apery
+elements, one C-level pass per generator, and symmetry follows from Selmer's
+gap count.  An integral homology sphere's S is strongly flat: its Apery set
+and generators are the theorem's closed forms, and it builds no table.  Also
+here: the Apery set of a monoid given by generators, read the same way,
+strongly flat recognition, end-vertex projections of integral homology sphere
 semigroups and the Poincare series split into polynomial and negative parts.
 """
 
@@ -24,7 +26,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import compress, cycle, islice, repeat
 from typing import Iterator, Sequence
 
@@ -65,7 +67,8 @@ class Link:
     Selmer's formulas give the Frobenius number max(Ap) - alpha and the gap
     count (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap
     is {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
-    The Link keeps the table and Ap and no other alpha-sized container.  For
+    The table ``n`` is built on first read, so only it and Ap are alpha-sized,
+    and a homology sphere, whose Ap is the theorem's, builds none.  For
     o = 1, N(ell + alpha) = N(ell) + 1 makes the module M = {N >= -1} equal to
     S - alpha, which ``module`` reads off Ap; otherwise it makes one pass over
     the m_r.  ``ap`` caches :func:`apery_selmer`; :func:`min_module` and
@@ -74,8 +77,11 @@ class Link:
 
     def __init__(self, sf: SeifertData):
         self.sf = sf
-        self.n = QuasilinearTable(sf)
         self.inv = sf.inv
+
+    @cached_property
+    def n(self) -> QuasilinearTable:
+        return QuasilinearTable(self.sf)
 
     def least(self, level: int) -> Iterator[int]:
         """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy)."""
@@ -178,8 +184,8 @@ def selmer(apery: tuple[int, ...]) -> AperyData:
 
 
 def apery_selmer(link: Link) -> AperyData:
-    """Apery set with respect to alpha, Selmer Frobenius number, gap count."""
-    return selmer(tuple(link.least(0)))
+    """Apery set w.r.t. alpha (:func:`ihs_apery` on a homology sphere), Selmer Frobenius number, gap count."""
+    return selmer(ihs_apery([a for a, _ in link.sf.legs]) if link.inv.order_h == 1 else tuple(link.least(0)))
 
 
 def gap_window(sf: SeifertData) -> bytes:
@@ -212,7 +218,8 @@ def _generators_from_apery(apery: Sequence[int]) -> list[int]:
 
 
 def minimal_generators(link: Link) -> list[int]:
-    """Minimal generators of the semigroup of a Seifert link, sieved out of the Apery set.
+    """Minimal generators of the semigroup of a Seifert link: :func:`ihs_generators` on a homology sphere,
+    else sieved out of the Apery set.
 
     Every minimal generator but alpha is a nonzero Apery element.  Of those
     candidates and alpha, the least remaining g is a generator, and one pass
@@ -223,6 +230,8 @@ def minimal_generators(link: Link) -> list[int]:
     non-minimal c is g + s with g < c a minimal generator and s in S, so the
     pass of g, which comes before c's turn, drops c.
     """
+    if link.inv.order_h == 1:
+        return ihs_generators([a for a, _ in link.sf.legs])
     return _generators_from_apery(link.ap.apery)
 
 
@@ -289,6 +298,19 @@ def ihs_generators(alphas: Sequence[int]) -> list[int]:
     alphas = check_alphas(alphas)
     total = math.prod(alphas)
     return sorted(total // a for a in alphas)
+
+
+def ihs_apery(alphas: Sequence[int]) -> tuple[int, ...]:
+    """Ap(S, alpha) of the homology sphere with given alphas, by the strongly flat theorem: every integer
+    is sum_i x_i*q_i + y*alpha, q_i = alpha/alpha_i and 0 <= x_i < alpha_i, in one way, and in S iff y >= 0.
+
+    So Ap[r] = sum_i ((r*u_i) mod alpha_i)*q_i, u_i = q_i^-1 mod alpha_i: a block of period alpha_i per leg.
+    """
+    alphas = check_alphas(alphas)
+    alpha = math.prod(alphas)
+    units = (pow(alpha // a, -1, a) for a in alphas)
+    tiles = (islice(cycle([x % a * (alpha // a) for x in range(0, u * a, u)]), alpha) for a, u in zip(alphas, units))
+    return tuple(reduce(partial(map, operator.add), tiles))  # the elementwise sum of the tiles
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,17 @@ def agree(formula, brute, what: str = ""):
     return formula
 
 
+def ihs_theorem(link: Link, table: tuple[int, ...]) -> list[int]:
+    """The sieve of ``table``, a sphere's Ap read off its table, if both are the theorem's; else VerificationError."""
+    if link.ap.apery != table:
+        r = next(r for r, (x, y) in enumerate(zip(link.ap.apery, table)) if x != y)
+        raise VerificationError(f"theorem Ap[{r}] = {link.ap.apery[r]} != table Ap[{r}] = {table[r]}")
+    theorem, sieve = semigroup.minimal_generators(link), semigroup._generators_from_apery(table)
+    if theorem != sieve:
+        raise VerificationError(f"theorem generators {theorem} != sieved generators {sieve}")
+    return sieve
+
+
 def random_seifert(
     rng: random.Random,
     max_legs: int = 5,
@@ -185,8 +196,10 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
     # theorem vs brute force: one period table against one brute scan of N over [0, alpha + gamma]
-    link = Link(sf)
-    ap = link.ap
+    link = Link(sf)  # a homology sphere's link.ap is the theorem's closed form: its table's Ap certifies it
+    ap = link.ap if inv.order_h != 1 else semigroup.selmer(tuple(link.least(0)))
+    if inv.order_h == 1:
+        route("ihs_theorem", ihs_theorem, link, ap.apery, quiet=True)
     if not sf.trivial:
         gaps = gap_window(sf)
         f_brute = gaps.rfind(1)

@@ -274,6 +274,18 @@ def test_full_report_classifies_and_sieves_a_bh_record_once(monkeypatch):
     assert (len(classified), len(sieved)) == (1, 1)
 
 
+def test_full_report_sieves_a_homology_sphere_bh_record(monkeypatch):
+    """For m = 1 in case (i), bh_generators and the printed list are both the theorem's, so the
+    report checks them against the sieve of the table's Ap: a theorem list short of a generator fails."""
+    from seifert_semigroup import semigroup
+
+    assert full_report({"bh": [2, 3, 7]})["semigroup"]["generators"] == [6, 14, 21]
+    exact = semigroup.ihs_generators
+    monkeypatch.setattr(semigroup, "ihs_generators", lambda alphas: exact(alphas)[:-1])
+    with pytest.raises(VerificationError, match=r"theorem generators \[6, 14\] != sieved generators"):
+        full_report({"bh": [2, 3, 7]})
+
+
 def test_large_case_ii_answers():
     """Five exponents with prod phi(alpha_i) ~ 6.6e7 unit tuples: the closed
     form answers without a search or a table of N."""

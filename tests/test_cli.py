@@ -220,6 +220,27 @@ def test_verify_catches_a_planted_table_fault(alphas, fault, monkeypatch, capsys
     assert fault != "raise-f-class" or "selmer_agreement" in fails
 
 
+@pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
+@pytest.mark.parametrize("fault", ["raise-f-class", "lower-middle-class", "drop-a-generator"])
+def test_verify_catches_a_planted_theorem_fault(alphas, fault, monkeypatch, capsys):
+    """A homology sphere's closed-form Ap off by one level in one class, or its theorem
+    generators without the last one, disagree with the period table and its sieve."""
+    from seifert_semigroup import semigroup
+
+    sf = ihs_from_alphas(alphas)
+    alpha = sf.inv.alpha
+    r, shift = (frobenius_bruteforce(sf) % alpha, alpha) if fault == "raise-f-class" else (alpha // 2, -alpha)
+    exact_apery, exact_generators = semigroup.ihs_apery, semigroup.ihs_generators
+    if fault == "drop-a-generator":
+        monkeypatch.setattr(semigroup, "ihs_generators", lambda alphas: exact_generators(alphas)[:-1])
+    else:
+        monkeypatch.setattr(semigroup, "ihs_apery",
+                            lambda alphas: tuple(a + shift * (i == r) for i, a in enumerate(exact_apery(alphas))))
+    code, out = run_cli(capsys, "verify", json.dumps({"alphas": list(alphas)}))
+    fails = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert code == 2 and "ihs_theorem" in fails
+
+
 def _rational(*args):
     return -1
 

@@ -494,15 +494,10 @@ def test_symmetry_without_a_witness_is_a_verification_failure(sf_asym5, monkeypa
         symmetry_report(Link(sf_asym5))
 
 
-def test_link_keeps_only_the_table_and_the_apery_set(monkeypatch):
-    """After a full report, no Link attribute other than n.base and ap.apery holds alpha entries."""
+def test_link_keeps_only_the_table_and_the_apery_set(sf_asym5, monkeypatch):
+    """After a full report, no Link attribute other than n.base and ap.apery holds alpha entries,
+    and a homology sphere's report builds no table at all."""
     from seifert_semigroup import cli
-
-    links = []
-    monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
-    cli.full_report({"alphas": [7, 11, 13]})
-    (link,) = links
-    alpha = link.inv.alpha
 
     def sized(obj, path, depth=0):
         if isinstance(obj, (list, tuple, dict, set, str, bytes, bytearray)):
@@ -511,8 +506,42 @@ def test_link_keeps_only_the_table_and_the_apery_set(monkeypatch):
             for name, value in vars(obj).items():
                 yield from sized(value, f"{path}.{name}", depth + 1)
 
-    big = sorted(path for path, size in sized(link, "link") if size >= alpha)
-    assert big == ["link.ap.apery", "link.n.base"]
+    asym5 = {"seifert": {"b0": sf_asym5.b0, "legs": [list(leg) for leg in sf_asym5.legs]}}
+    for record, kept in (({"alphas": [7, 11, 13]}, ["link.ap.apery"]), (asym5, ["link.ap.apery", "link.n.base"])):
+        links = []
+        monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
+        cli.full_report(record)
+        (link,) = links
+        assert sorted(path for path, size in sized(link, "link") if size >= link.inv.alpha) == kept
+
+
+def test_a_link_builds_its_table_on_first_use():
+    """R3 of the scale matrix, alpha ~ 1.0e18: the constructor allocates nothing alpha-sized."""
+    link = Link(SeifertData(3, ((1000003, 1), (1000033, 1), (1000037, 1))))
+    assert "n" not in vars(link)
+    link = Link(ihs_from_alphas((7, 11, 13)))
+    assert link.n(1001) == 1 and "n" in vars(link)
+
+
+def test_homology_spheres_read_off_the_theorem_equal_the_table_and_the_sieve():
+    """The closed-form Ap equals the period table's, and the theorem's generators the sieve of it, on
+    seeded spheres given by alphas, by their Seifert data with the legs reversed and as m = 1 bh records."""
+    from seifert_semigroup.brieskorn import bh_generators, bh_seifert, classify
+    from seifert_semigroup.semigroup import _generators_from_apery
+    from seifert_semigroup.verification import random_coprime_alphas
+
+    rng = seeded_rng(46)
+    for d in (3, 4, 5):
+        for _ in range(6):
+            alphas = random_coprime_alphas(rng, d, max_alpha=30, product_cap=30_000)
+            sf, cls = ihs_from_alphas(alphas), classify(alphas)
+            assert cls.m == 1 and bh_generators(cls) == ihs_generators(alphas)
+            for data in (sf, SeifertData(sf.b0, sf.legs[::-1]), bh_seifert(cls)):
+                link = Link(data)
+                assert link.inv.order_h == 1
+                table = tuple(link.least(0))
+                assert link.ap.apery == table, alphas
+                assert minimal_generators(link) == _generators_from_apery(table), alphas
 
 
 def test_minimal_generators_make_no_membership_calls(monkeypatch):
