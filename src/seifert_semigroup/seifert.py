@@ -24,7 +24,9 @@ same ones instead of rebuilding or passing them around.
 N is evaluated in three ways: :func:`quasilinear` at one point,
 :func:`quasilinear_values` over a window by the defining formula, with no
 quasi-periodicity shortcut, for the brute-force scans, and
-:class:`QuasilinearTable` over one period, tiled from per-leg difference blocks.
+:func:`quasilinear_tiles` over a range about 0, tiled from per-leg
+difference blocks: over one period in :class:`QuasilinearTable`, over the
+gap window in :class:`~seifert_semigroup.semigroup.Link`.
 """
 
 from __future__ import annotations
@@ -165,25 +167,34 @@ def quasilinear_values(sf: SeifertData, ells: range):
     return values
 
 
-class QuasilinearTable:
-    """O(1) evaluation of N via N(q*alpha + r) = N(r) + q*o.
+def quasilinear_tiles(sf: SeifertData, start: int, stop: int) -> list[int]:
+    """N(ell) for start <= ell < stop, start <= 0 < stop, tiled from per-leg difference blocks.
 
-    The identity is exact on all of Z, as alpha is a multiple of every
-    alpha_i.  The period is the prefix sum from N(0) = 0 of N(r+1) - N(r) =
-    b0 + sum_i (floor(-(r+1)w_i/a_i) - floor(-r*w_i/a_i)), whose i-th term has
-    period a_i: one difference block per leg, cycled over the period.  So the
-    table shares no N kernel with the brute route's :func:`quasilinear_values`.
+    N(r+1) - N(r) = b0 + sum_i (floor(-(r+1)w_i/a_i) - floor(-r*w_i/a_i)),
+    whose i-th term has period a_i: one difference block per leg, cycled from
+    the class of ``start``.  The prefix sums are anchored at N(0) = 0, so
+    N(start) is minus the sum of the steps below 0.  This kernel shares
+    nothing with the brute route's :func:`quasilinear_values`.
+    """
+    steps = itertools.repeat(sf.b0, stop - start - 1)
+    for a, w in sf.legs:
+        floors = list(map(operator.floordiv, range(0, -w * (a + 1), -w), itertools.repeat(a)))
+        block = list(map(operator.sub, floors[1:], floors))
+        steps = map(operator.add, steps, itertools.islice(itertools.cycle(block), start % a, None))
+    below = list(itertools.islice(steps, -start))  # the steps from start up to 0
+    return list(itertools.accumulate(itertools.chain(below, steps), initial=-sum(below)))
+
+
+class QuasilinearTable:
+    """O(1) evaluation of N via N(q*alpha + r) = N(r) + q*o, from one period of :func:`quasilinear_tiles`.
+
+    The identity is exact on all of Z, as alpha is a multiple of every alpha_i.
     """
 
     def __init__(self, sf: SeifertData):
         self.alpha = sf.inv.alpha
         self.orbit_order = sf.inv.orbit_order
-        steps = itertools.repeat(sf.b0, self.alpha - 1)
-        for a, w in sf.legs:
-            floors = list(map(operator.floordiv, range(0, -w * (a + 1), -w), itertools.repeat(a)))
-            block = list(map(operator.sub, floors[1:], floors))
-            steps = map(operator.add, steps, itertools.islice(itertools.cycle(block), self.alpha - 1))
-        self.base = list(itertools.accumulate(steps, initial=0))
+        self.base = quasilinear_tiles(sf, 0, self.alpha)
 
     def __call__(self, ell: int) -> int:
         q, r = divmod(ell, self.alpha)

@@ -8,13 +8,17 @@ negative exactly on rational links; both admit closed lattice formulas, kept
 separate so that each route certifies the other.
 
 Every other semigroup and module quantity is read off one :class:`Link` per
-record: one table of N over a period, built on first use, gives the least
-element of each residue class at each level, the Apery set at level 0 and
-the module minima at -1.  The module is S - alpha for orbit order one and one
-pass over the minima otherwise.  The generators are sieved out of the Apery
-elements, one C-level pass per generator, and symmetry follows from Selmer's
-gap count.  An integral homology sphere's S is strongly flat: its Apery set
-and generators are the theorem's closed forms, and it builds no table.  Also
+record: N on the gap window [-floor(alpha/o), min(alpha, floor(gamma +
+alpha/o) + 1)), built on first use, gives the Apery set and the module, as
+|e|*ell - (d - sum 1/alpha_i) <= N(ell) <= |e|*ell puts every ell past
+gamma + alpha/o in S and no element of M below -alpha/o.  So a record costs
+O(d*alpha/o) plus its alpha-long Apery set.  The module is S - alpha for
+orbit order one and one pass over the window otherwise.  The generators are
+sieved out of the Apery elements up to f + m, one C-level pass per
+generator, and symmetry follows from Selmer's gap count.  An integral
+homology sphere's S is strongly flat: its Apery set and generators are the
+theorem's closed forms, and it builds no window.  The full-period table of N
+stays for ``verify``'s identities.  Also
 here: the Apery set of a monoid given by generators, read the same way,
 strongly flat recognition, end-vertex projections of integral homology sphere
 semigroups and the Poincare series split into polynomial and negative parts.
@@ -27,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, partial, reduce
-from itertools import compress, cycle, islice, repeat
+from itertools import chain, compress, count, cycle, islice, repeat
 from typing import Iterator, Sequence
 
 from .errors import TrivialSemigroupError, VerificationError
@@ -39,6 +43,7 @@ from .seifert import (
     check_alphas,
     floor_frac,
     is_numerically_gorenstein,
+    quasilinear_tiles,
     quasilinear_values,
     require_int,
 )
@@ -59,32 +64,47 @@ class ModuleData:
 
 
 class Link:
-    """One record's semigroup and module, read off a single period table of N.
+    """One record's semigroup and module, read off the gap window of N.
 
-    N(q*alpha + r) = N(r) + q*o holds exactly, so the least ell = r (mod alpha)
-    with N(ell) >= level is r - alpha*((N(r) - level) // o) (:meth:`least`):
-    the Apery element Ap[r] at level 0, the module minimum m_r at level -1.
-    Selmer's formulas give the Frobenius number max(Ap) - alpha and the gap
-    count (sum(Ap) - alpha*(alpha - 1)/2)/alpha; for the trivial semigroup Ap
-    is {0, ..., alpha - 1}, the Frobenius number -1 and there are no gaps.
-    The table ``n`` is built on first read, so only it and Ap are alpha-sized,
-    and a homology sphere, whose Ap is the theorem's, builds none.  For
-    o = 1, N(ell + alpha) = N(ell) + 1 makes the module M = {N >= -1} equal to
-    S - alpha, which ``module`` reads off Ap; otherwise it makes one pass over
-    the m_r.  ``ap`` caches :func:`apery_selmer`; :func:`min_module` and
-    :func:`frobenius_module_raw` read ``module``.
+    From the definition, |e|*ell - (d - sum_i 1/alpha_i) <= N(ell) <= |e|*ell
+    and 1/|e| = alpha/o: every ell >= ``top`` = floor(gamma + alpha/o) + 1 is
+    in S, every ell > gamma is in M, and no element of M is below -alpha/o.
+    ``window`` holds N on [``bottom``, ``w``), bottom = -floor(alpha/o) (0 for
+    o = 1, whose module is S - alpha) and w = min(alpha, top): about d*alpha/o
+    entries, one period when o is small.  As N(q*alpha + r) = N(r) + q*o and
+    N(r) < o on [0, alpha), Ap[r] = r - alpha*(N(r) // o) is the window's head
+    for r < w and r above.  A homology sphere's Ap is the theorem's, and it
+    builds no window.  The period table ``n`` and :meth:`least` are built
+    only when read, by ``verify``'s identities.  ``ap`` caches
+    :func:`apery_selmer`; :func:`min_module` and :func:`frobenius_module_raw`
+    read ``module``.
     """
 
     def __init__(self, sf: SeifertData):
         self.sf = sf
-        self.inv = sf.inv
+        self.inv = inv = sf.inv
+        self.bottom = 0 if inv.orbit_order == 1 else -(inv.alpha // inv.orbit_order)
+        self.top = floor_frac(inv.gamma + 1 / -inv.e) + 1
+        self.w = min(inv.alpha, self.top)
+
+    @cached_property
+    def window(self) -> list[int]:
+        """N(ell) for bottom <= ell < w."""
+        return quasilinear_tiles(self.sf, self.bottom, self.w)
+
+    def levels(self, start: int, stop: int) -> Iterator[int]:
+        """N(ell) for start <= ell < stop (lazy), bottom <= start < w and stop <= top: the window,
+        continued past a w clipped to alpha by N(ell + alpha) = N(ell) + o."""
+        lo, window, o = self.bottom, self.window, self.inv.orbit_order
+        periods = (map(operator.add, islice(window, -lo, None), repeat(q * o)) for q in count(1))
+        return islice(chain(islice(window, start - lo, None), chain.from_iterable(periods)), stop - start)
 
     @cached_property
     def n(self) -> QuasilinearTable:
         return QuasilinearTable(self.sf)
 
     def least(self, level: int) -> Iterator[int]:
-        """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy)."""
+        """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy), off ``n``."""
         alpha, o = self.inv.alpha, self.inv.orbit_order
         steps = self.n.base if level == 0 else map((-level).__add__, self.n.base)
         steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
@@ -99,14 +119,17 @@ class Link:
 
     @cached_property
     def module(self) -> ModuleData:
-        """min(M), max(Z \\ M) and whether M = min(M) + S: m_r = min(M) + Ap[(r - min(M)) mod alpha] for all r."""
+        """min(M), the first member in [bottom, 0]; max(Z \\ M), the last non-member in [bottom - 1, floor(gamma)];
+        and whether M = min(M) + S, compared on [min(M), min(M) + top), past which both hold every ell."""
         alpha, ap = self.inv.alpha, self.ap
         if self.inv.orbit_order == 1:
             return ModuleData(min=-alpha, frobenius_raw=ap.frobenius - alpha, principal=True)
-        minima = list(self.least(-1))
-        lo = min(minima)
-        rotated = map(lo.__add__, islice(cycle(ap.apery), -lo % alpha, None))
-        return ModuleData(min=lo, frobenius_raw=max(minima) - alpha, principal=all(map(operator.eq, minima, rotated)))
+        lo, top, gamma = self.bottom, self.top, floor_frac(self.inv.gamma)
+        low = next(compress(range(lo, 1), map((-1).__le__, self.levels(lo, 1))))
+        raw = max(compress(range(lo, gamma + 1), map((-2).__ge__, self.levels(lo, gamma + 1))), default=lo - 1)
+        in_m = map((-1).__le__, self.levels(low, low + top))
+        in_s = map((0).__le__, self.levels(0, top))
+        return ModuleData(min=low, frobenius_raw=raw, principal=all(map(operator.eq, in_m, in_s)))
 
     @cached_property
     def gorenstein(self) -> bool:
@@ -184,8 +207,22 @@ def selmer(apery: tuple[int, ...]) -> AperyData:
 
 
 def apery_selmer(link: Link) -> AperyData:
-    """Apery set w.r.t. alpha (:func:`ihs_apery` on a homology sphere), Selmer Frobenius number, gap count."""
-    return selmer(ihs_apery([a for a, _ in link.sf.legs]) if link.inv.order_h == 1 else tuple(link.least(0)))
+    """Apery set w.r.t. alpha (:func:`ihs_apery` on a homology sphere), Selmer Frobenius number, gap count.
+
+    Off the window, Ap is its head r - alpha*(N(r) // o), r < w, then r for w <= r < alpha; as
+    Ap[r] >= r, max(Ap) = max(max(head), alpha - 1) and sum(Ap) - alpha*(alpha - 1)/2 = sum(head) - w*(w - 1)/2.
+    """
+    if link.inv.order_h == 1:
+        return selmer(ihs_apery([a for a, _ in link.sf.legs]))
+    alpha, o, w = link.inv.alpha, link.inv.orbit_order, link.w
+    steps = islice(link.window, -link.bottom, None)
+    steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
+    apery = tuple(chain(map(operator.sub, range(w), map(alpha.__mul__, steps)), range(w, alpha)))
+    return AperyData(
+        apery=apery,
+        frobenius=max(max(islice(apery, w)), alpha - 1) - alpha,
+        gaps=(sum(islice(apery, w)) - w * (w - 1) // 2) // alpha,
+    )
 
 
 def gap_window(sf: SeifertData) -> bytes:
@@ -205,10 +242,10 @@ def gap_count_direct(sf: SeifertData) -> int:
 # Generators
 
 
-def _generators_from_apery(apery: Sequence[int]) -> list[int]:
-    """Minimal generators of S from Ap(S, n), n = len(apery), by the sieve of :func:`minimal_generators`."""
-    n = len(apery)
-    gens, rest = [], [*islice(apery, 1, None), n]  # islice: no transient copy of Ap
+def _sieve(apery: Sequence[int], candidates: list[int]) -> list[int]:
+    """The minimal generators among ``candidates``, a list of nonzero elements of S holding every minimal
+    generator, by the sieve of :func:`minimal_generators`; S is given by Ap(S, n), n = len(apery)."""
+    n, gens, rest = len(apery), [], candidates
     while rest:
         g = min(rest)
         gens.append(g)
@@ -217,22 +254,31 @@ def _generators_from_apery(apery: Sequence[int]) -> list[int]:
     return gens
 
 
+def _generators_from_apery(apery: Sequence[int]) -> list[int]:
+    """Minimal generators of S from Ap(S, n), n = len(apery): the sieve of n and the nonzero Apery elements."""
+    return _sieve(apery, [*islice(apery, 1, None), len(apery)])  # islice: no transient copy of Ap
+
+
 def minimal_generators(link: Link) -> list[int]:
     """Minimal generators of the semigroup of a Seifert link: :func:`ihs_generators` on a homology sphere,
     else sieved out of the Apery set.
 
-    Every minimal generator but alpha is a nonzero Apery element.  Of those
-    candidates and alpha, the least remaining g is a generator, and one pass
-    of C-level ``map``s, recomputing c - g lazily, drops every remaining c
-    with c - g in S, i.e. c - g >= Ap[(c - g) mod alpha] (g drops itself, and
-    m drops all above f + m).  This is right: no pass drops a minimal
-    generator, as its difference with a smaller one is not in S; and a
-    non-minimal c is g + s with g < c a minimal generator and s in S, so the
-    pass of g, which comes before c's turn, drops c.
+    Every minimal generator but alpha is a nonzero Apery element, and none
+    exceeds max(f, 0) + m, m the least nonzero element of S (Rosales and
+    Garcia-Sanchez, Numerical Semigroups, 2009).  As Ap[r] = r past the
+    window's head, m and the candidates up to that bound are the head's and
+    a range's.  Of the candidates, the least remaining g is a generator, and
+    one pass of C-level ``map``s drops every remaining c with c - g in S,
+    i.e. c - g >= Ap[(c - g) mod alpha] (g drops itself).  No pass drops a
+    minimal generator, as its difference with a smaller one is not in S; and
+    a non-minimal c is g + s with g < c a minimal generator and s in S, so
+    the pass of g, which comes before c's turn, drops c.
     """
     if link.inv.order_h == 1:
         return ihs_generators([a for a, _ in link.sf.legs])
-    return _generators_from_apery(link.ap.apery)
+    apery, w = link.ap.apery, link.w
+    bound = max(link.ap.frobenius, 0) + min(chain(islice(apery, 1, w), (w,)))
+    return _sieve(apery, [*filter(bound.__ge__, islice(apery, 1, w)), *range(w, min(bound, len(apery)) + 1)])
 
 
 def monoid_sieve(gens: Sequence[int], hi: int) -> bytearray:

@@ -11,9 +11,11 @@ one line per check.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import laufer, semigroup
 from .augment import verify_prop_comp
@@ -64,6 +66,25 @@ def ihs_theorem(link: Link, table: tuple[int, ...]) -> list[int]:
     if theorem != sieve:
         raise VerificationError(f"theorem generators {theorem} != sieved generators {sieve}")
     return sieve
+
+
+def apery_certificate(apery: tuple[int, ...], gaps: bytes) -> None:
+    """Ap(S, alpha), alpha = len(apery), entry by entry against ``gaps``, the flags of
+    :func:`~seifert_semigroup.semigroup.gap_window` (1 at each gap of S from ell = 0, none past them):
+    Ap[r] = r (mod alpha), Ap[r] is in S and Ap[r] - alpha is not.  Else VerificationError naming a class."""
+    alpha = len(apery)
+    top = len(gaps) + alpha  # ell - alpha is in S for every ell >= top
+    outside = b"\1" * alpha + gaps + bytes(alpha)  # outside[ell + alpha] = 1 iff ell is not in S, -alpha <= ell < top
+    if (
+        0 <= min(apery) <= max(apery) < top
+        and all(map(operator.eq, map(operator.mod, apery, repeat(alpha)), range(alpha)))
+        and not any(map(outside.__getitem__, map(alpha.__add__, apery)))
+        and all(map(outside.__getitem__, apery))
+    ):
+        return
+    r = next(r for r, x in enumerate(apery)
+             if not 0 <= x < top or x % alpha != r or outside[x + alpha] or not outside[x])
+    raise VerificationError(f"Ap[{r}] = {apery[r]} is not the least element of S in its class mod {alpha}")
 
 
 def random_seifert(
@@ -216,6 +237,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
         gaps = bytes(inv.window + 1)  # gap_window(sf): S = Z>=0 has no gap
+    route("apery_certificate", apery_certificate, link.ap.apery, gaps, quiet=True)  # the Ap that batch prints
     # both module routes decide rationality by their sign, so they are compared on every record
     route("module_frobenius_agreement",
           lambda: agree(laufer.frobenius_module(g), frobenius_bruteforce(sf, "module"), "module "))

@@ -23,7 +23,7 @@ from seifert_semigroup import (
 )
 from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, check_generators
 from seifert_semigroup.cli import full_report
-from seifert_semigroup.seifert import QuasilinearTable
+from seifert_semigroup.seifert import QuasilinearTable, quasilinear_tiles
 from seifert_semigroup.semigroup import minimal_generators, minimal_generators_of_monoid
 
 from conftest import count_calls
@@ -251,6 +251,8 @@ def test_check_generators_accepts_a_non_minimal_list():
 
 
 def test_full_report_builds_one_table(monkeypatch):
+    """The one table of N the report builds is the gap window, [-52, 105) with w clipped to alpha = 105:
+    no full-period QuasilinearTable, no least pass, and the tiled kernel runs once."""
     built = []
     init = QuasilinearTable.__init__
 
@@ -259,9 +261,13 @@ def test_full_report_builds_one_table(monkeypatch):
         init(self, sf)
 
     monkeypatch.setattr(QuasilinearTable, "__init__", counting_init)
+    tiles = count_calls(monkeypatch, quasilinear_tiles)
+    levels = []
+    monkeypatch.setattr(Link, "least", lambda self, level: levels.append(level))
     report = full_report({"bh": [6, 10, 14]})
     assert report["bh"]["generators"] == [15, 21, 35]
-    assert len(built) == 1
+    assert (built, levels) == ([], [])
+    assert [args[1:] for args in tiles] == [(-52, 105)]
 
 
 def test_full_report_classifies_and_sieves_a_bh_record_once(monkeypatch):

@@ -20,7 +20,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from seifert_semigroup import SeifertData, cli, ihs_from_alphas, semigroup, symmetry_report
+from seifert_semigroup import SeifertData, cli, ihs_from_alphas, seifert, semigroup, symmetry_report
+
+from conftest import count_calls
 
 from test_link import big_n, ceil
 
@@ -115,10 +117,18 @@ def test_a_homology_sphere_report_makes_no_module_pass(monkeypatch):
 
 
 def test_other_reports_make_one_module_pass(sf_asym5, monkeypatch):
+    """The one pass is over the gap window [-8, 26), shorter than alpha = 40: no least pass at any level,
+    one run of the tiled kernel, and the module it gives is the three passes' over the period table."""
     assert sf_asym5.inv.orbit_order > 1
     levels = _least_levels(monkeypatch)
+    tiles = count_calls(monkeypatch, seifert.quasilinear_tiles)
+    links = []
+    monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
     cli.full_report({"seifert": {"b0": sf_asym5.b0, "legs": [list(leg) for leg in sf_asym5.legs]}})
-    assert sorted(levels) == [-1, 0]
+    assert levels == []
+    assert [args[1:] for args in tiles] == [(-8, 26)]
+    (link,) = links
+    assert link.module == _three_passes(link)
 
 
 DISAGREEMENT = """

@@ -495,8 +495,9 @@ def test_symmetry_without_a_witness_is_a_verification_failure(sf_asym5, monkeypa
 
 
 def test_link_keeps_only_the_table_and_the_apery_set(sf_asym5, monkeypatch):
-    """After a full report, no Link attribute other than n.base and ap.apery holds alpha entries,
-    and a homology sphere's report builds no table at all."""
+    """After a full report no Link attribute but ap.apery holds alpha entries: the gap window is
+    shorter than a period on asym5 (34 of 40) and on the large-o record (2 of 1001), a homology sphere
+    builds none, and no report builds the period table or makes a least pass."""
     from seifert_semigroup import cli
 
     def sized(obj, path, depth=0):
@@ -506,13 +507,21 @@ def test_link_keeps_only_the_table_and_the_apery_set(sf_asym5, monkeypatch):
             for name, value in vars(obj).items():
                 yield from sized(value, f"{path}.{name}", depth + 1)
 
-    asym5 = {"seifert": {"b0": sf_asym5.b0, "legs": [list(leg) for leg in sf_asym5.legs]}}
-    for record, kept in (({"alphas": [7, 11, 13]}, ["link.ap.apery"]), (asym5, ["link.ap.apery", "link.n.base"])):
+    def seifert_record(sf):
+        return {"seifert": {"b0": sf.b0, "legs": [list(leg) for leg in sf.legs]}}
+
+    large_o = SeifertData(2, ((7, 1), (11, 1), (13, 1)))  # o = 1691 > alpha = 1001
+    levels = []
+    monkeypatch.setattr(semigroup.Link, "least", lambda self, level: levels.append(level))
+    for record, window in (({"alphas": [7, 11, 13]}, None), (seifert_record(sf_asym5), 34), (seifert_record(large_o), 2)):
         links = []
         monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
         cli.full_report(record)
         (link,) = links
-        assert sorted(path for path, size in sized(link, "link") if size >= link.inv.alpha) == kept
+        assert sorted(path for path, size in sized(link, "link") if size >= link.inv.alpha) == ["link.ap.apery"]
+        assert "n" not in vars(link) and levels == []
+        assert len(vars(link).get("window", ())) == (window or 0)
+    assert large_o.inv.orbit_order == 1691 and link.w == 2 and link.ap.apery[2:] == tuple(range(2, 1001))
 
 
 def test_a_link_builds_its_table_on_first_use():
@@ -544,13 +553,24 @@ def test_homology_spheres_read_off_the_theorem_equal_the_table_and_the_sieve():
                 assert minimal_generators(link) == _generators_from_apery(table), alphas
 
 
-def test_minimal_generators_make_no_membership_calls(monkeypatch):
-    """The Apery sieve reads the Apery set in C-level passes, never Link.in_semigroup."""
-    calls = []
-    in_semigroup = semigroup.Link.in_semigroup
+def test_minimal_generators_make_no_membership_calls(sf_asym5, monkeypatch):
+    """The Apery sieve reads the Apery set in C-level passes, never Link.in_semigroup: on the sphere
+    (7, 11, 13), which takes the theorem's list, on asym5 and on a large-o record, whose candidates,
+    those up to max(f, 0) + m, are two where alpha = 1001."""
+    from seifert_semigroup.semigroup import _generators_from_apery
+
+    large_o = SeifertData(2, ((7, 1), (11, 1), (13, 1)))
+    expected = {sf: _generators_from_apery(Link(sf).ap.apery) for sf in (sf_asym5, large_o)}
+    calls, sieved = [], []
+    in_semigroup, sieve = semigroup.Link.in_semigroup, semigroup._sieve
     monkeypatch.setattr(semigroup.Link, "in_semigroup", lambda self, ell: calls.append(ell) or in_semigroup(self, ell))
+    monkeypatch.setattr(semigroup, "_sieve", lambda apery, candidates: sieved.append(candidates) or sieve(apery, candidates))
     assert minimal_generators(Link(ihs_from_alphas((7, 11, 13)))) == [77, 91, 143]
+    for sf, gens in expected.items():
+        assert minimal_generators(Link(sf)) == gens
     assert calls == []
+    assert expected[large_o] == sieved[-1] == [2, 3] and large_o.inv.alpha == 1001
+    assert len(sieved) == 2 and len(sieved[0]) < sf_asym5.inv.alpha
 
 
 def _minimal_generators_from_membership(member, candidates):
