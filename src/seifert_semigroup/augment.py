@@ -133,13 +133,14 @@ def verify_prop_comp(link: Link, gaps: bytes, n: int | None = None) -> int:
     fail when admissible: then an Ap[r] sets n* and is missing from
     M_(n* - 1), in the window or above f_S.  For a non-trivial base the
     augmented module Frobenius number (lattice formula) must equal f_S, the
-    last gap in ``gaps``, which must reach floor(alpha + gamma), past which
-    S has no gap, or this raises ``ValueError``.  A failed check raises
+    last gap in ``gaps``, which must reach ``inv.window``, past which S has
+    no gap, or this raises ``ValueError``.  A failed check raises
     :class:`VerificationError`.
     """
     sf, inv = link.sf, link.inv
     if not sf.trivial and len(gaps) <= inv.window:
-        raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(alpha + gamma) = {inv.window}")
+        raise ValueError(f"gap flags stop at {len(gaps) - 1}, below floor(gamma + alpha/o) = {inv.window}")
+    gaps = gaps.ljust(floor_frac(inv.alpha + inv.gamma) + 1, b"\0")  # M_(n) is compared on [0, alpha + gamma]
     f_base = None if sf.trivial else gaps.rfind(1)
     n_used = threshold(link) if n is None else n
     failure = _prop_comp_once(augment(sf, n_used), gaps, f_base)

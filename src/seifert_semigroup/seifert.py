@@ -118,7 +118,7 @@ class SeifertData:
 
 @dataclass(frozen=True)
 class SeifertInvariants:
-    """e, alpha, |H|, o and gamma, and ``window`` = floor(alpha + gamma): N >= 0 above it."""
+    """e, alpha, |H|, o and gamma, and ``window`` = floor(gamma + alpha/o) <= floor(alpha + gamma): N >= 0 above it."""
 
     e: Fraction
     alpha: int
@@ -143,7 +143,7 @@ def invariants(sf: SeifertData) -> SeifertInvariants:
         order_h=int(order_h),
         orbit_order=int(orbit_order),
         gamma=gamma,
-        window=alpha + floor_frac(gamma),  # alpha is an integer; no Fraction sum
+        window=floor_frac(gamma + 1 / -e),  # 1/|e| = alpha/o, and N(ell) >= |e|*ell - (d - sum_i 1/alpha_i)
     )
 
 
@@ -171,16 +171,17 @@ def quasilinear_tiles(sf: SeifertData, start: int, stop: int) -> list[int]:
     """N(ell) for start <= ell < stop, start <= 0 < stop, tiled from per-leg difference blocks.
 
     N(r+1) - N(r) = b0 + sum_i (floor(-(r+1)w_i/a_i) - floor(-r*w_i/a_i)),
-    whose i-th term has period a_i: one difference block per leg, cycled from
-    the class of ``start``.  The prefix sums are anchored at N(0) = 0, so
-    N(start) is minus the sum of the steps below 0.  This kernel shares
-    nothing with the brute route's :func:`quasilinear_values`.
+    whose i-th term has period a_i: one block per leg, from ``start`` over
+    min(a_i, stop - start) steps, cycled; a range costs O(d*(stop - start)).
+    The prefix sums are anchored at N(0) = 0, so N(start) is minus the sum of
+    the steps below 0.  It shares nothing with :func:`quasilinear_values`.
     """
     steps = itertools.repeat(sf.b0, stop - start - 1)
     for a, w in sf.legs:
-        floors = list(map(operator.floordiv, range(0, -w * (a + 1), -w), itertools.repeat(a)))
+        end = start + min(a, stop - start)  # one period of the block, or every step of a shorter range
+        floors = list(map(operator.floordiv, range(-w * start, -w * (end + 1), -w), itertools.repeat(a)))
         block = list(map(operator.sub, floors[1:], floors))
-        steps = map(operator.add, steps, itertools.islice(itertools.cycle(block), start % a, None))
+        steps = map(operator.add, steps, itertools.cycle(block))
     below = list(itertools.islice(steps, -start))  # the steps from start up to 0
     return list(itertools.accumulate(itertools.chain(below, steps), initial=-sum(below)))
 

@@ -1,27 +1,27 @@
 """The numerical semigroup of a Seifert link and the module over it.
 
 Membership is governed by the quasi-linear function N: the semigroup is
-{ell : N(ell) >= 0}, the module is {ell : N(ell) >= -1}.  Both Frobenius
-numbers admit honest scans down from alpha + gamma and gamma (theorems put
-no gap above them) to -1 - alpha, where N <= -2, so the module value is
-negative exactly on rational links; both admit closed lattice formulas, kept
-separate so that each route certifies the other.
+{ell : N(ell) >= 0}, the module is {ell : N(ell) >= -1}.  By the definition,
+|e|*ell - (d - sum 1/alpha_i) <= N(ell) <= |e|*ell: every ell past
+``inv.window`` = floor(gamma + alpha/o) is in S, every ell past gamma in M,
+and no element of M lies below -alpha/o.  Both Frobenius numbers admit
+honest scans down from those two tops to -1 - alpha, where N <= -2, so the
+module value is negative exactly on rational links; both admit closed
+lattice formulas, kept separate so that each route certifies the other.
 
 Every other semigroup and module quantity is read off one :class:`Link` per
-record: N on the gap window [-floor(alpha/o), min(alpha, floor(gamma +
-alpha/o) + 1)), built on first use, gives the Apery set and the module, as
-|e|*ell - (d - sum 1/alpha_i) <= N(ell) <= |e|*ell puts every ell past
-gamma + alpha/o in S and no element of M below -alpha/o.  So a record costs
-O(d*alpha/o) plus its alpha-long Apery set.  The module is S - alpha for
-orbit order one and one pass over the window otherwise.  The generators are
-sieved out of the Apery elements up to f + m, one C-level pass per
-generator, and symmetry follows from Selmer's gap count.  An integral
-homology sphere's S is strongly flat: its Apery set and generators are the
-theorem's closed forms, and it builds no window.  The full-period table of N
-stays for ``verify``'s identities.  Also
-here: the Apery set of a monoid given by generators, read the same way,
-strongly flat recognition, end-vertex projections of integral homology sphere
-semigroups and the Poincare series split into polynomial and negative parts.
+record: N on the gap window [bottom, w) = [-floor(alpha/o), min(alpha,
+``inv.window`` + 1)), built on first use, gives the Apery set and the
+module.  So a record costs O(d*(w - bottom)) plus its alpha-long Apery set.
+The module is S - alpha for orbit order one and one pass over the window
+otherwise.  The generators are sieved out of the Apery elements up to f + m,
+one C-level pass per generator, and symmetry follows from Selmer's gap
+count.  An integral homology sphere's S is strongly flat: its Apery set and
+generators are the theorem's closed forms, and it builds no window.  The
+full-period table of N stays for ``verify``'s identities.  Also here: the
+Apery set of a monoid given by generators, read the same way, strongly flat
+recognition, end-vertex projections of integral homology sphere semigroups
+and the Poincare series split into polynomial and negative parts.
 """
 
 from __future__ import annotations
@@ -66,9 +66,8 @@ class ModuleData:
 class Link:
     """One record's semigroup and module, read off the gap window of N.
 
-    From the definition, |e|*ell - (d - sum_i 1/alpha_i) <= N(ell) <= |e|*ell
-    and 1/|e| = alpha/o: every ell >= ``top`` = floor(gamma + alpha/o) + 1 is
-    in S, every ell > gamma is in M, and no element of M is below -alpha/o.
+    By the bound on N in the module docstring, every ell >= ``top`` =
+    ``inv.window`` + 1 is in S, and no element of M is below -alpha/o.
     ``window`` holds N on [``bottom``, ``w``), bottom = -floor(alpha/o) (0 for
     o = 1, whose module is S - alpha) and w = min(alpha, top): about d*alpha/o
     entries, one period when o is small.  As N(q*alpha + r) = N(r) + q*o and
@@ -84,7 +83,7 @@ class Link:
         self.sf = sf
         self.inv = inv = sf.inv
         self.bottom = 0 if inv.orbit_order == 1 else -(inv.alpha // inv.orbit_order)
-        self.top = floor_frac(inv.gamma + 1 / -inv.e) + 1
+        self.top = inv.window + 1
         self.w = min(inv.alpha, self.top)
 
     @cached_property
@@ -139,12 +138,12 @@ class Link:
 def frobenius_bruteforce(sf: SeifertData, kind: str = "semigroup") -> int:
     """Largest non-member, by one descending scan of N, signed for the module.
 
-    The first ell from the top with N(ell) below the level (0 for S, -1 for
-    M) is the Frobenius number: no gap of S lies above alpha + gamma, and
-    N(ell) >= -1 above gamma.  The scan runs down to -1 - alpha, where
-    N = -b0 - o <= -2, so it always hits; the module value is negative
-    exactly when [0, gamma] holds no N <= -2, i.e. p_g = 0 and the link is
-    rational.  A scan without a hit is a broken N kernel.
+    The first ell from the top with N(ell) below the level (0 for S, -1 for M)
+    is the Frobenius number: no gap of S lies above ``inv.window`` =
+    floor(gamma + alpha/o), and N(ell) >= -1 above gamma.  The scan runs down
+    to -1 - alpha, where N = -b0 - o <= -2, so it always hits; the module
+    value is negative exactly when [0, gamma] holds no N <= -2, i.e. p_g = 0
+    and the link is rational.  A scan without a hit is a broken N kernel.
     """
     inv = sf.inv
     if kind == "semigroup":
@@ -226,15 +225,15 @@ def apery_selmer(link: Link) -> AperyData:
 
 
 def gap_window(sf: SeifertData) -> bytes:
-    """One byte per ell in [0, alpha + gamma] by a direct scan of N, 1 at a gap and 0 at a member.
+    """One byte per ell in [0, ``inv.window``] by a direct scan of N, 1 at a gap and 0 at a member.
 
-    No gap lies above alpha + gamma: ``rfind(1)`` is the Frobenius number and ``count(1)`` the gap count.
+    No gap lies above floor(gamma + alpha/o): ``rfind(1)`` is the Frobenius number and ``count(1)`` the gap count.
     """
     return bytes(map((0).__gt__, quasilinear_values(sf, range(sf.inv.window + 1))))
 
 
 def gap_count_direct(sf: SeifertData) -> int:
-    """Number of gaps by direct enumeration of non-members in (0, alpha + gamma]."""
+    """Number of gaps by direct enumeration of non-members in (0, ``inv.window``]."""
     return gap_window(sf).count(1)
 
 

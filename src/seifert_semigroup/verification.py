@@ -199,7 +199,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
           "N(ell) - ceil(ell/alpha)*o out of range")
     probe = rng.sample(range(inv.window + 1, inv.window + 2 * alpha + 1), min(40, 2 * alpha))
     check("nonnegative_beyond_window", all(quasilinear(sf, ell) >= 0 for ell in probe),
-          "N < 0 beyond alpha + gamma")
+          "N < 0 beyond floor(gamma + alpha/o)")
 
     # tie-break invariance of the computation sequence on a few random starts
     ok = True
@@ -216,13 +216,13 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
         ok &= len(endpoints) == 1
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
-    # theorem vs brute force: one period table against one brute scan of N over [0, alpha + gamma]
+    # theorem vs brute force: the Apery set against one brute scan of N over [0, floor(gamma + alpha/o)]
     link = Link(sf)  # a homology sphere's link.ap is the theorem's closed form: its table's Ap certifies it
     ap = link.ap if inv.order_h != 1 else semigroup.selmer(tuple(link.least(0)))
     if inv.order_h == 1:
         route("ihs_theorem", ihs_theorem, link, ap.apery, quiet=True)
+    gaps = gap_window(sf)
     if not sf.trivial:
-        gaps = gap_window(sf)
         f_brute = gaps.rfind(1)
         route("semigroup_frobenius_agreement", lambda: agree(frobenius_by_formula(sf), f_brute))
         check("selmer_agreement", ap.frobenius == f_brute, f"Selmer {ap.frobenius} != {f_brute}")
@@ -236,7 +236,6 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
     else:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
-        gaps = bytes(inv.window + 1)  # gap_window(sf): S = Z>=0 has no gap
     route("apery_certificate", apery_certificate, link.ap.apery, gaps, quiet=True)  # the Ap that batch prints
     # both module routes decide rationality by their sign, so they are compared on every record
     route("module_frobenius_agreement",

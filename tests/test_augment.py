@@ -203,10 +203,11 @@ def test_prop_comp_does_not_scan_the_base(monkeypatch, sf_base4):
 
 
 def test_prop_comp_bound_must_reach_the_window(sf_base4):
-    inv = invariants(sf_base4)  # alpha + gamma = 73
+    inv = invariants(sf_base4)
+    window = int(inv.gamma + F(inv.alpha, inv.orbit_order))  # 19/5 + 70/25 = 33/5
     with pytest.raises(ValueError):
-        verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma) - 1))
-    verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, int(inv.alpha + inv.gamma)))
+        verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, window - 1))
+    verify_prop_comp(Link(sf_base4), gap_flags(sf_base4, window))
 
 
 def test_prop_comp_trivial_base():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -185,16 +186,18 @@ def test_verify_reads_one_set_of_invariants_and_one_graph(monkeypatch):
 
 def test_verify_scans_the_semigroup_window_once(monkeypatch):
     """The brute Frobenius number, the gap count and the augmentation check
-    come off one scan of N over [0, alpha + gamma]: alpha + gamma = 4311 is
-    past the augmentation check, and 73 (SEC5) is within it."""
+    come off one scan of N over [0, floor(gamma + alpha/o)], and it stops
+    there: alpha + gamma = 4311 is past the augmentation check, and 73 (SEC5,
+    whose scan stops at 6) is within it."""
     calls = count_calls(monkeypatch, seifert.quasilinear_values)
     for sf in (ihs_from_alphas((11, 13, 17)), SeifertData(1, ((5, 1), (5, 1), (7, 1), (10, 1)))):
-        top = floor_frac(sf.inv.alpha + sf.inv.gamma)
+        inv = sf.inv
+        top = floor_frac(inv.gamma + Fraction(inv.alpha, inv.orbit_order))
         results = verification.verify_seifert(sf, random.Random(0))
-        assert (top > 3000) == ("augmented_module_stabilises" not in {r.name for r in results})
+        assert (inv.alpha + inv.gamma > 3000) == ("augmented_module_stabilises" not in {r.name for r in results})
         assert all(r.passed for r in results)
         covering = [ells for arg, ells in calls if arg is sf and min(ells) <= 1 and max(ells) >= top]
-        assert len(covering) == 1
+        assert [max(ells) for ells in covering] == [top]
 
 
 @pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
@@ -339,6 +342,37 @@ def test_brute_route_exits_early_at_alpha_1e12():
     data = json.loads(result.stdout)
     assert data["semigroup"]["frobenius"] == 3186039708591
     assert data["module"]["frobenius"] == 2122630203908
+
+
+R2 = '{"seifert":{"b0":2,"legs":[[2,1],[3,1],[1000000007,1]]}}'  # alpha = 6000000042 < o = 7000000043
+
+
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_brute_route_stops_at_gamma_plus_alpha_over_o(method):
+    """The semigroup scan starts at floor(gamma + alpha/o) = 1, not at floor(alpha + gamma), about 6e9."""
+    result = subprocess.run(
+        [sys.executable, "-m", "seifert_semigroup", "frobenius", R2, "--method", method],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    data = json.loads(result.stdout)
+    assert data["semigroup"] == {"trivial": False, "frobenius": 1}
+    assert data["module"] == {"rational": True, "frobenius": None}
+
+
+@pytest.mark.parametrize("alphas", [(2, 3, 7), (2, 3, 5)])
+def test_verify_catches_a_window_bound_lowered_by_one(alphas, monkeypatch, capsys):
+    """On a homology sphere f = floor(gamma + alpha/o) = alpha + gamma: a window one short hides f from the
+    brute scans, which the Laufer route's formula value then contradicts."""
+    exact = seifert.invariants
+    lowered = lambda sf: dataclasses.replace(exact(sf), window=exact(sf).window - 1)  # noqa: E731
+    assert frobenius_bruteforce(ihs_from_alphas(alphas)) == exact(ihs_from_alphas(alphas)).window
+    monkeypatch.setattr(seifert, "invariants", lowered)
+    code, out = run_cli(capsys, "verify", json.dumps({"alphas": list(alphas)}))
+    fails = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
+    assert code == 2
+    assert {"semigroup_frobenius_agreement", "selmer_agreement", "gap_count_agreement"} <= fails
 
 
 def test_bad_record_is_input_error(capsys):

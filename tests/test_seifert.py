@@ -101,15 +101,21 @@ def test_quasilinear_window_bounds(sf):
             assert lo <= diff <= -1
 
 
-@pytest.mark.parametrize("sf", [*_sf_pool(), SeifertData(2, ((2, 1), (2, 1), (3, 1)))])  # the last: gamma = -1/2
+@pytest.mark.parametrize("sf", [
+    *_sf_pool(),
+    SeifertData(2, ((2, 1), (2, 1), (3, 1))),  # gamma = -1/2
+    SeifertData(2, ((2, 1), (3, 1), (11, 1))),  # o = 71 > alpha = 66
+])
 def test_nonnegative_beyond_alpha_plus_gamma(sf):
-    """N >= 0 above floor(alpha + gamma), which ``inv.window`` holds as alpha + floor(gamma)."""
+    """N >= 0 above floor(gamma + alpha/o), which ``inv.window`` holds.  It is never above floor(alpha + gamma),
+    the o = 1 bound the brute scans used to stop at, and (inv.window, floor(alpha + gamma)] holds no gap."""
     inv = invariants(sf)
-    top = inv.alpha + inv.gamma
+    top = inv.gamma + F(inv.alpha, inv.orbit_order)
     start = top.numerator // top.denominator + 1
-    assert inv.window == start - 1
+    assert inv.window == start - 1 <= floor_frac(inv.alpha + inv.gamma)
     for ell in range(start, start + 2 * inv.alpha):
         assert quasilinear(sf, ell) >= 0
+    assert all(n >= 0 for n in quasilinear_values(sf, range(start, floor_frac(inv.alpha + inv.gamma) + 1)))
 
 
 def test_gorenstein_symmetry_of_n(sf_gor7, sf_237):

@@ -13,8 +13,12 @@ import dataclasses
 import json
 import math
 import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import cycle, islice
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -103,8 +107,33 @@ def test_the_bh_record_compares_its_module_past_the_clipped_window():
 
 @settings(max_examples=100, deadline=None)
 @given(seifert_records(), st.integers(-60, 0), st.integers(1, 60))
+@example(SeifertData(2, ((7, 1), (11, 1), (13, 1))), -2, 3)  # stop - start = 5 < min alpha_i
+@example(SeifertData(1, ((4, 1), (4, 1), (4, 1), (10, 1), (40, 1))), -7, 5)  # -7 = 1, 3, 33 mod 4, 10, 40
+@example(SeifertData(2, ((7, 1), (11, 1), (13, 1))), -3, 4)  # stop - start = 7 = alpha_1
+@example(SeifertData(2, ((2, 1), (3, 1), (100003, 1))), -6, 8)  # one leg with alpha_i far above stop - start
 def test_the_tiled_kernel_is_n_over_a_range_about_zero(sf, start, stop):
     assert seifert.quasilinear_tiles(sf, start, stop) == [seifert.quasilinear(sf, ell) for ell in range(start, stop)]
+
+
+def test_the_window_is_tiled_in_the_space_of_its_range():
+    """Each leg's difference block spans at most the window: R2's leg of period 10^9 + 7 costs 2 steps.
+    Run in a child under a 100 MiB address-space limit, where a block over the whole period cannot fit."""
+    code = (
+        "import resource, time\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (100 << 20, 100 << 20))\n"
+        "from seifert_semigroup import SeifertData\n"
+        "from seifert_semigroup.semigroup import Link\n"
+        "t = time.perf_counter()\n"
+        "link = Link(SeifertData(2, ((2, 1), (3, 1), (1000000007, 1))))\n"
+        "print(link.bottom, link.w, link.window, time.perf_counter() - t < 1)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "2", "[0,", "-1]", "True"]
 
 
 def test_the_window_bound_is_a_lemma():
