@@ -21,7 +21,7 @@ the orbit order, one in case (i) and two in case (ii).  Both cases are one
 call of :func:`seifert.from_congruence`; nothing is searched and no table of
 N is built.  :func:`check_generators` compares the generator list with the
 minimal generators of the record's semigroup, which for m = 1 in case (i),
-an integral homology sphere, the caller sieves out of the period table's Ap.
+an integral homology sphere, the caller sieves out of the theorem's Ap.
 """
 
 from __future__ import annotations

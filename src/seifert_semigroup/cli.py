@@ -147,8 +147,8 @@ def full_report(record: dict) -> dict:
     out["module"] = {"frobenius": raw, "min": min_module(link)}
     if cls is not None:
         gens, minimal = bh_generators(cls), semi["generators"]
-        if link.inv.order_h == 1:  # m = 1 in case (i): both lists are the theorem's, so sieve the table's Ap
-            minimal = verification.ihs_theorem(link, tuple(link.least(0)))
+        if link.inv.order_h == 1:  # m = 1 in case (i): both lists are the theorem's, so sieve the theorem's Ap
+            minimal = verification.ihs_theorem(link)
         check_generators(link, gens, minimal)
         out["bh"] = {
             "case": cls.case,
@@ -321,8 +321,9 @@ def cmd_batch(args) -> int:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.infile, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(lines))  # the pool forks every worker on its first submit
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_batch_one, lines, chunksize=8))
     else:
         outcomes = [_batch_one(line) for line in lines]

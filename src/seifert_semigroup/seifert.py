@@ -25,8 +25,9 @@ N is evaluated in three ways: :func:`quasilinear` at one point,
 :func:`quasilinear_values` over a window by the defining formula, with no
 quasi-periodicity shortcut, for the brute-force scans, and
 :func:`quasilinear_tiles` over a range about 0, tiled from per-leg
-difference blocks: over one period in :class:`QuasilinearTable`, over the
-gap window in :class:`~seifert_semigroup.semigroup.Link`.
+difference blocks: over the gap window in a
+:class:`~seifert_semigroup.semigroup.Link`, and over one period, which only
+``verify``'s checks read, in :class:`QuasilinearTable`.
 """
 
 from __future__ import annotations

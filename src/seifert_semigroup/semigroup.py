@@ -17,11 +17,14 @@ The module is S - alpha for orbit order one and one pass over the window
 otherwise.  The generators are sieved out of the Apery elements up to f + m,
 one C-level pass per generator, and symmetry follows from Selmer's gap
 count.  An integral homology sphere's S is strongly flat: its Apery set and
-generators are the theorem's closed forms, and it builds no window.  The
-full-period table of N stays for ``verify``'s identities.  Also here: the
-Apery set of a monoid given by generators, read the same way, strongly flat
-recognition, end-vertex projections of integral homology sphere semigroups
-and the Poincare series split into polynomial and negative parts.
+generators are the theorem's closed forms, and it builds no window.  So each
+record has one Apery set, which ``batch`` prints and ``verify`` certifies
+against a brute scan of N.  The full-period table of N is read only by
+``verify``'s Gorenstein identities and the augmentation threshold.  Also
+here: the Apery set of a monoid given by generators, read the same way,
+strongly flat recognition, end-vertex projections of integral homology
+sphere semigroups and the Poincare series split into polynomial and negative
+parts.
 """
 
 from __future__ import annotations
@@ -73,10 +76,10 @@ class Link:
     entries, one period when o is small.  As N(q*alpha + r) = N(r) + q*o and
     N(r) < o on [0, alpha), Ap[r] = r - alpha*(N(r) // o) is the window's head
     for r < w and r above.  A homology sphere's Ap is the theorem's, and it
-    builds no window.  The period table ``n`` and :meth:`least` are built
-    only when read, by ``verify``'s identities.  ``ap`` caches
-    :func:`apery_selmer`; :func:`min_module` and :func:`frobenius_module_raw`
-    read ``module``.
+    builds no window.  ``ap`` caches :func:`apery_selmer`, the record's one
+    Apery set; :func:`min_module` and :func:`frobenius_module_raw` read
+    ``module``.  The period table ``n`` is built only when read, by
+    :func:`gorenstein_symmetry_check` and the augmentation threshold.
     """
 
     def __init__(self, sf: SeifertData):
@@ -101,13 +104,6 @@ class Link:
     @cached_property
     def n(self) -> QuasilinearTable:
         return QuasilinearTable(self.sf)
-
-    def least(self, level: int) -> Iterator[int]:
-        """The least ell = r (mod alpha) with N(ell) >= level, for r = 0, ..., alpha - 1 (lazy), off ``n``."""
-        alpha, o = self.inv.alpha, self.inv.orbit_order
-        steps = self.n.base if level == 0 else map((-level).__add__, self.n.base)
-        steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
-        return map(operator.sub, range(alpha), map(alpha.__mul__, steps))
 
     @cached_property
     def ap(self) -> AperyData:
@@ -487,10 +483,11 @@ def gorenstein_symmetry_check(link: Link) -> None:
     {N = -1} = Z \\ ((gamma - S) u S), which in class r says
     m_r = min(Ap[r], gamma + alpha - Ap[(gamma - r) mod alpha]).  Moving ell
     by alpha moves both sides of each identity by the same multiple of o, so
-    checking the residues 0 <= r < alpha covers all of Z.  The m_r come from a
-    pass of their own, so on the ``verify`` path this checks the shortcut
-    M = S - alpha that ``Link.module`` takes for o = 1.  Each failing identity
-    is named, with its least failing class, in one :class:`VerificationError`.
+    checking the residues 0 <= r < alpha covers all of Z.  The m_r =
+    r - alpha*((N(r) + 1) // o) come off the period table, so on the
+    ``verify`` path this checks the shortcut M = S - alpha that ``Link.module``
+    takes for o = 1.  Each failing identity is named, with its least failing
+    class, in one :class:`VerificationError`.
     """
     if not link.gorenstein:
         raise ValueError("input is not numerically Gorenstein")
@@ -503,7 +500,8 @@ def gorenstein_symmetry_check(link: Link) -> None:
     if inv.orbit_order == 1:
         checks.append(("N(ell) + N(alpha + gamma - ell) = -1", (n(r) + n(alpha + gamma - r) == -1 for r in rs)))
     level_set = (min(apery[r], gamma + alpha - apery[(gamma - r) % alpha]) for r in rs)
-    checks.append(("level-set identity", map(operator.eq, link.least(-1), level_set)))
+    minima = (r - alpha * ((n_r + 1) // inv.orbit_order) for r, n_r in enumerate(n.base))  # m_r, N(m_r) >= -1
+    checks.append(("level-set identity", map(operator.eq, minima, level_set)))
     failures = []
     for name, holds in checks:
         bad = next((r for r, ok in enumerate(holds) if not ok), None)

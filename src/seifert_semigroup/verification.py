@@ -57,12 +57,10 @@ def agree(formula, brute, what: str = ""):
     return formula
 
 
-def ihs_theorem(link: Link, table: tuple[int, ...]) -> list[int]:
-    """The sieve of ``table``, a sphere's Ap read off its table, if both are the theorem's; else VerificationError."""
-    if link.ap.apery != table:
-        r = next(r for r, (x, y) in enumerate(zip(link.ap.apery, table)) if x != y)
-        raise VerificationError(f"theorem Ap[{r}] = {link.ap.apery[r]} != table Ap[{r}] = {table[r]}")
-    theorem, sieve = semigroup.minimal_generators(link), semigroup._generators_from_apery(table)
+def ihs_theorem(link: Link) -> list[int]:
+    """The sieve of a homology sphere's Ap, the theorem's closed form, if the theorem's generators are that
+    sieve; else VerificationError.  :func:`apery_certificate` certifies the Ap itself against a scan of N."""
+    theorem, sieve = semigroup.minimal_generators(link), semigroup._generators_from_apery(link.ap.apery)
     if theorem != sieve:
         raise VerificationError(f"theorem generators {theorem} != sieved generators {sieve}")
     return sieve
@@ -217,10 +215,10 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
     # theorem vs brute force: the Apery set against one brute scan of N over [0, floor(gamma + alpha/o)]
-    link = Link(sf)  # a homology sphere's link.ap is the theorem's closed form: its table's Ap certifies it
-    ap = link.ap if inv.order_h != 1 else semigroup.selmer(tuple(link.least(0)))
+    link = Link(sf)  # its one Ap, on a homology sphere the theorem's closed form, is what apery_certificate checks
+    ap = link.ap
     if inv.order_h == 1:
-        route("ihs_theorem", ihs_theorem, link, ap.apery, quiet=True)
+        route("ihs_theorem", ihs_theorem, link, quiet=True)
     gaps = gap_window(sf)
     if not sf.trivial:
         f_brute = gaps.rfind(1)
@@ -236,7 +234,7 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
     else:
         check("trivial_semigroup", ap.frobenius == -1 and ap.gaps == 0 and quasilinear(sf, 1) >= 0,
               "b0 >= d must give the full semigroup")
-    route("apery_certificate", apery_certificate, link.ap.apery, gaps, quiet=True)  # the Ap that batch prints
+    route("apery_certificate", apery_certificate, ap.apery, gaps, quiet=True)  # the Ap that batch prints
     # both module routes decide rationality by their sign, so they are compared on every record
     route("module_frobenius_agreement",
           lambda: agree(laufer.frobenius_module(g), frobenius_bruteforce(sf, "module"), "module "))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from seifert_semigroup import SeifertData, StarGraph, build_graph, ihs_from_alphas
-from seifert_semigroup.seifert import quasilinear_values
+from seifert_semigroup.seifert import QuasilinearTable, quasilinear_values
 
 
 @pytest.fixture
@@ -78,6 +78,19 @@ def count_calls(monkeypatch, fn) -> list[tuple]:
                 if value is fn:
                     monkeypatch.setattr(module, attr, counting)
     return calls
+
+
+def count_tables(monkeypatch) -> list:
+    """Record the Seifert data of every full-period ``QuasilinearTable`` constructed, however it is reached."""
+    built = []
+    init = QuasilinearTable.__init__
+
+    def counting_init(self, sf):
+        built.append(sf)
+        init(self, sf)
+
+    monkeypatch.setattr(QuasilinearTable, "__init__", counting_init)
+    return built
 
 
 @st.composite

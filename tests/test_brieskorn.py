@@ -23,10 +23,10 @@ from seifert_semigroup import (
 )
 from seifert_semigroup.brieskorn import CASE_I, CASE_II, NOT_QHS, check_generators
 from seifert_semigroup.cli import full_report
-from seifert_semigroup.seifert import QuasilinearTable, quasilinear_tiles
+from seifert_semigroup.seifert import quasilinear_tiles
 from seifert_semigroup.semigroup import minimal_generators, minimal_generators_of_monoid
 
-from conftest import count_calls
+from conftest import count_calls, count_tables
 
 
 def test_classify_examples():
@@ -252,21 +252,12 @@ def test_check_generators_accepts_a_non_minimal_list():
 
 def test_full_report_builds_one_table(monkeypatch):
     """The one table of N the report builds is the gap window, [-52, 105) with w clipped to alpha = 105:
-    no full-period QuasilinearTable, no least pass, and the tiled kernel runs once."""
-    built = []
-    init = QuasilinearTable.__init__
-
-    def counting_init(self, sf):
-        built.append(sf)
-        init(self, sf)
-
-    monkeypatch.setattr(QuasilinearTable, "__init__", counting_init)
+    no full-period QuasilinearTable, and the tiled kernel runs once."""
+    built = count_tables(monkeypatch)
     tiles = count_calls(monkeypatch, quasilinear_tiles)
-    levels = []
-    monkeypatch.setattr(Link, "least", lambda self, level: levels.append(level))
     report = full_report({"bh": [6, 10, 14]})
     assert report["bh"]["generators"] == [15, 21, 35]
-    assert (built, levels) == ([], [])
+    assert built == []
     assert [args[1:] for args in tiles] == [(-52, 105)]
 
 

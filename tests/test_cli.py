@@ -26,7 +26,7 @@ from seifert_semigroup import (
 from seifert_semigroup.cli import build_parser, main
 from seifert_semigroup.seifert import floor_frac
 
-from conftest import count_calls
+from conftest import count_calls, count_tables
 
 SEC5 = '{"seifert":{"b0":1,"legs":[[5,1],[5,1],[7,1],[10,1]]}}'
 
@@ -203,9 +203,9 @@ def test_verify_scans_the_semigroup_window_once(monkeypatch):
 @pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
 @pytest.mark.parametrize("fault", ["raise-f-class", "lower-middle-class"])
 def test_verify_catches_a_planted_table_fault(alphas, fault, monkeypatch, capsys):
-    """A period table off by one in one residue class disagrees with the brute
-    window: raising N at the class of f moves the Selmer Frobenius number, and
-    either fault moves the gap count."""
+    """A period table off by one in one residue class breaks the Gorenstein
+    identities, the table's reader in verify; a sphere's Ap is the theorem's,
+    not the table's, so the checks of the printed Ap still pass."""
     sf = ihs_from_alphas(alphas)
     alpha = sf.inv.alpha
     r, shift = (frobenius_bruteforce(sf) % alpha, 1) if fault == "raise-f-class" else (alpha // 2, -1)
@@ -219,15 +219,16 @@ def test_verify_catches_a_planted_table_fault(alphas, fault, monkeypatch, capsys
     code, out = run_cli(capsys, "verify", json.dumps({"alphas": list(alphas)}))
     fails = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
     assert code == 2
-    assert "gap_count_agreement" in fails
-    assert fault != "raise-f-class" or "selmer_agreement" in fails
+    assert "gorenstein_symmetry" in fails
+    assert not fails & {"selmer_agreement", "gap_count_agreement", "apery_certificate"}
 
 
 @pytest.mark.parametrize("alphas", [(2, 3, 7), (5, 7, 11)])
 @pytest.mark.parametrize("fault", ["raise-f-class", "lower-middle-class", "drop-a-generator"])
 def test_verify_catches_a_planted_theorem_fault(alphas, fault, monkeypatch, capsys):
-    """A homology sphere's closed-form Ap off by one level in one class, or its theorem
-    generators without the last one, disagree with the period table and its sieve."""
+    """A homology sphere's closed-form Ap raised a level in the class of f fails its certificate against
+    the brute scan of N and moves Selmer's numbers; lowered a level in a middle class, or with the theorem
+    generators short of the last one, it disagrees with its own sieve."""
     from seifert_semigroup import semigroup
 
     sf = ihs_from_alphas(alphas)
@@ -241,7 +242,10 @@ def test_verify_catches_a_planted_theorem_fault(alphas, fault, monkeypatch, caps
                             lambda alphas: tuple(a + shift * (i == r) for i, a in enumerate(exact_apery(alphas))))
     code, out = run_cli(capsys, "verify", json.dumps({"alphas": list(alphas)}))
     fails = {line.split()[1] for line in out.splitlines() if line.startswith("FAIL")}
-    assert code == 2 and "ihs_theorem" in fails
+    if fault == "raise-f-class":
+        assert code == 2 and {"apery_certificate", "selmer_agreement", "gap_count_agreement"} <= fails
+    else:
+        assert code == 2 and "ihs_theorem" in fails
 
 
 def _rational(*args):
@@ -549,6 +553,51 @@ def test_batch_rejects_jobs_below_one(jobs, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_batch_builds_no_period_table(monkeypatch):
+    """Each record reads its one Apery set off the gap window or, on a homology sphere, off the theorem:
+    the golden corpus, a sphere and two m = 1 Brieskorn-Hamm spheres construct no full-period table."""
+    built = count_tables(monkeypatch)
+    lines = (Path(__file__).parent / "golden" / "corpus.jsonl").read_text().splitlines()
+    lines += ['{"alphas":[7,11,13]}', '{"bh":[2,3,7]}', '{"bh":[2,3,5]}']
+    outcomes = [cli._batch_one(line) for line in lines]
+    assert [json.loads(text).get("id") for text, code in outcomes if code] == ["bad"]
+    assert built == []
+
+
+def test_batch_forks_no_more_workers_than_records(monkeypatch, tmp_path):
+    """The pool forks every worker on its first submit, so `batch` asks for at most one per record and
+    runs one record in process.  A stub pool maps in process: no process starts."""
+    import concurrent.futures
+
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    infile = tmp_path / "in.jsonl"
+    infile.write_text('{"id":"a","alphas":[2,3,7]}\n' + SEC5 + '\n{"id":"c","bh":[6,10,14]}\n')
+    outputs = {}
+    for jobs in ("1", "1000", "2"):
+        outputs[jobs] = tmp_path / f"jobs{jobs}.jsonl"
+        assert main(["batch", "--in", str(infile), "--out", str(outputs[jobs]), "--jobs", jobs]) == 0
+    assert asked == [3, 2]
+    assert outputs["1000"].read_bytes() == outputs["2"].read_bytes() == outputs["1"].read_bytes()
+    infile.write_text('{"alphas":[2,3,7]}\n')
+    assert main(["batch", "--in", str(infile), "--out", str(tmp_path / "one.jsonl"), "--jobs", "8"]) == 0
+    assert asked == [3, 2]
 
 
 def test_cli_import_leaves_out_what_only_batch_runs():

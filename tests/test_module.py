@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from seifert_semigroup import SeifertData, cli, ihs_from_alphas, seifert, semigroup, symmetry_report
 
-from conftest import count_calls
+from conftest import count_calls, count_tables
 
 from test_link import big_n, ceil
 
@@ -103,29 +103,24 @@ def test_one_module_pass_equals_the_three_it_replaced(sf):
         assert symmetry_report(link).module_principal == link.module.principal
 
 
-def _least_levels(monkeypatch):
-    levels = []
-    least = semigroup.Link.least
-    monkeypatch.setattr(semigroup.Link, "least", lambda self, level: levels.append(level) or least(self, level))
-    return levels
-
-
 def test_a_homology_sphere_report_makes_no_module_pass(monkeypatch):
-    levels = _least_levels(monkeypatch)
+    """M = S - alpha off the theorem's Ap: no table of N is built, neither the window nor a period."""
+    built = count_tables(monkeypatch)
+    tiles = count_calls(monkeypatch, seifert.quasilinear_tiles)
     cli.full_report({"alphas": [7, 11, 13]})
-    assert levels == []
+    assert (built, tiles) == ([], [])
 
 
 def test_other_reports_make_one_module_pass(sf_asym5, monkeypatch):
-    """The one pass is over the gap window [-8, 26), shorter than alpha = 40: no least pass at any level,
-    one run of the tiled kernel, and the module it gives is the three passes' over the period table."""
+    """The one pass is over the gap window [-8, 26), shorter than alpha = 40: no period table is built,
+    the tiled kernel runs once, and the module it gives is the three passes' over the period table."""
     assert sf_asym5.inv.orbit_order > 1
-    levels = _least_levels(monkeypatch)
+    built = count_tables(monkeypatch)
     tiles = count_calls(monkeypatch, seifert.quasilinear_tiles)
     links = []
     monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
     cli.full_report({"seifert": {"b0": sf_asym5.b0, "legs": [list(leg) for leg in sf_asym5.legs]}})
-    assert levels == []
+    assert built == []
     assert [args[1:] for args in tiles] == [(-8, 26)]
     (link,) = links
     assert link.module == _three_passes(link)

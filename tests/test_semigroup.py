@@ -43,7 +43,7 @@ from seifert_semigroup.semigroup import (
 )
 from seifert_semigroup.verification import random_seifert
 
-from conftest import count_calls, seeded_rng
+from conftest import count_calls, count_tables, seeded_rng
 
 
 def test_frobenius_golden(sf_base4, sf_asym5, sf_gor7, sf_237, sf_e8):
@@ -424,6 +424,11 @@ def _module_least(link, r):
     return seifert.ceil_div(-1 - link.n.base[r], link.inv.orbit_order) * link.inv.alpha + r
 
 
+def _apery_least(link, r):
+    """Ap[r], the least element of S congruent to r (mod alpha), for 0 <= r < alpha."""
+    return seifert.ceil_div(-link.n.base[r], link.inv.orbit_order) * link.inv.alpha + r
+
+
 def _scan_symmetry_report(link):
     """Witnesses by testing membership across [0, f/2]; principality class by class."""
     f = link.ap.frobenius
@@ -496,8 +501,8 @@ def test_symmetry_without_a_witness_is_a_verification_failure(sf_asym5, monkeypa
 
 def test_link_keeps_only_the_table_and_the_apery_set(sf_asym5, monkeypatch):
     """After a full report no Link attribute but ap.apery holds alpha entries: the gap window is
-    shorter than a period on asym5 (34 of 40) and on the large-o record (2 of 1001), a homology sphere
-    builds none, and no report builds the period table or makes a least pass."""
+    shorter than a period on asym5 (34 of 40) and on the large-o record (2 of 1001), tiled in one run of
+    the kernel, a homology sphere builds none, and no report builds the period table."""
     from seifert_semigroup import cli
 
     def sized(obj, path, depth=0):
@@ -511,17 +516,17 @@ def test_link_keeps_only_the_table_and_the_apery_set(sf_asym5, monkeypatch):
         return {"seifert": {"b0": sf.b0, "legs": [list(leg) for leg in sf.legs]}}
 
     large_o = SeifertData(2, ((7, 1), (11, 1), (13, 1)))  # o = 1691 > alpha = 1001
-    levels = []
-    monkeypatch.setattr(semigroup.Link, "least", lambda self, level: levels.append(level))
+    built, tiles = count_tables(monkeypatch), count_calls(monkeypatch, seifert.quasilinear_tiles)
     for record, window in (({"alphas": [7, 11, 13]}, None), (seifert_record(sf_asym5), 34), (seifert_record(large_o), 2)):
         links = []
         monkeypatch.setattr(cli, "Link", lambda sf: links.append(semigroup.Link(sf)) or links[-1])
         cli.full_report(record)
         (link,) = links
         assert sorted(path for path, size in sized(link, "link") if size >= link.inv.alpha) == ["link.ap.apery"]
-        assert "n" not in vars(link) and levels == []
+        assert "n" not in vars(link) and built == []
         assert len(vars(link).get("window", ())) == (window or 0)
     assert large_o.inv.orbit_order == 1691 and link.w == 2 and link.ap.apery[2:] == tuple(range(2, 1001))
+    assert [args[1:] for args in tiles] == [(-8, 26), (0, 2)]
 
 
 def test_a_link_builds_its_table_on_first_use():
@@ -548,7 +553,7 @@ def test_homology_spheres_read_off_the_theorem_equal_the_table_and_the_sieve():
             for data in (sf, SeifertData(sf.b0, sf.legs[::-1]), bh_seifert(cls)):
                 link = Link(data)
                 assert link.inv.order_h == 1
-                table = tuple(link.least(0))
+                table = tuple(_apery_least(link, r) for r in range(link.inv.alpha))
                 assert link.ap.apery == table, alphas
                 assert minimal_generators(link) == _generators_from_apery(table), alphas
 

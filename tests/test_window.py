@@ -3,10 +3,11 @@
 ``Link`` reads N only on [-floor(alpha/o), w), w = min(alpha, floor(gamma +
 alpha/o) + 1), by the bound |e|*ell - (d - sum_i 1/alpha_i) <= N(ell) <=
 |e|*ell.  Here the window's Apery set, module, generators and symmetry
-report are compared with the derivations off ``Link.n`` and ``Link.least``
-that the package used before, kept verbatim; the bound is tested as a
-lemma; and ``verify``'s Apery certificate is shown to catch a moved tail
-entry that Selmer's formulas, read off the window's head, do not see.
+report are compared with the derivations off ``Link.n`` and the since
+deleted ``Link.least`` that the package used before, kept verbatim; the
+bound is tested as a lemma; and ``verify``'s Apery certificate is shown to
+catch a moved tail entry that Selmer's formulas, read off the window's head,
+do not see.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import cycle, islice
+from itertools import cycle, islice, repeat
 from pathlib import Path
 
 import pytest
@@ -42,10 +43,19 @@ from conftest import count_calls, seeded_rng
 BH_6_10_14 = bh_seifert(classify([6, 10, 14]))  # alpha = 105, o = 2: w is clipped to alpha
 
 
+def _least(link, level):
+    """Link.least, gone from the package: the least ell = r (mod alpha) with N(ell) >= level, for
+    r = 0, ..., alpha - 1 (lazy), off the period table ``link.n``."""
+    alpha, o = link.inv.alpha, link.inv.orbit_order
+    steps = link.n.base if level == 0 else map((-level).__add__, link.n.base)
+    steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
+    return map(operator.sub, range(alpha), map(alpha.__mul__, steps))
+
+
 def _period_module(link):
     """Link.module before the window: the m_r off least(-1), and the rotated principality check."""
-    alpha, apery = link.inv.alpha, tuple(link.least(0))
-    minima = list(link.least(-1))
+    alpha, apery = link.inv.alpha, tuple(_least(link, 0))
+    minima = list(_least(link, -1))
     lo = min(minima)
     rotated = map(lo.__add__, islice(cycle(apery), -lo % alpha, None))
     return ModuleData(min=lo, frobenius_raw=max(minima) - alpha, principal=all(map(operator.eq, minima, rotated)))
@@ -53,7 +63,7 @@ def _period_module(link):
 
 def _period_symmetry(link):
     """symmetry_report's verdicts off the period table's Ap and the rotated principality check."""
-    ap = selmer(tuple(link.least(0)))
+    ap = selmer(tuple(_least(link, 0)))
     member = lambda ell: ell >= ap.apery[ell % len(ap.apery)]  # noqa: E731
     witnesses = tuple((ell, ap.frobenius - ell) for ell in range(ap.frobenius // 2 + 1)
                       if member(ell) == member(ap.frobenius - ell))
@@ -89,7 +99,7 @@ def seifert_records(draw):
 @example(SeifertData(3, ((4, 1), (4, 3), (4, 3), (6, 1), (8, 3), (8, 5))))
 def test_the_window_equals_the_period_table(sf):
     link = Link(sf)
-    assert link.ap == selmer(tuple(link.least(0)))
+    assert link.ap == selmer(tuple(_least(link, 0)))
     assert link.module == _period_module(link)
     assert minimal_generators(link) == _generators_from_apery(link.ap.apery)
     if not sf.trivial:

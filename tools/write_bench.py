@@ -16,7 +16,11 @@ alphas (23, 29, 31, 37), alpha = 765,049.  The file holds:
 * the traced run's per-layer metrics and counters;
 * every note of run.py that says "input pool exhausted", verbatim;
 * the tier-1 wall time and pytest's summary line;
-* the wall time and tracemalloc peak of the `full_report` call.
+* the wall time and tracemalloc peak of the `full_report` call;
+* ``failures``: each run that exited non-zero, printed no result or printed
+  ``correct: false``, with the revision, the command, the workload, the seed,
+  the --trace value, the exit code and the last 20 lines of its stderr.  A
+  workload with a failed run gets no summary, and the tool exits 1.
 
 Standard library only; nothing under perfbench/ is changed.
 """
@@ -26,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -62,17 +67,25 @@ def _git(*args) -> str:
     return done.stdout.strip()
 
 
-def run_bench(workload: str, seed: int, trace: int) -> dict:
-    """One run.py run: its final JSON object, its host line and its notes."""
-    done = subprocess.run(
-        [sys.executable, RUN, "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
-         "--trace", str(trace)],
-        cwd=ROOT, capture_output=True, text=True,
-    )
+def run_bench(workload: str, seed: int, trace: int, failures: list) -> dict | None:
+    """One run.py run: its final JSON object, its host line and its notes.  A run that exits non-zero,
+    prints no result or prints ``correct: false`` is appended to ``failures`` instead, and gives None."""
+    command = [sys.executable, RUN, "--workload", workload, "--seed", str(seed), "--seconds", str(SECONDS),
+               "--trace", str(trace)]
+    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
     lines = done.stdout.splitlines()
-    if not lines or not lines[-1].startswith("{"):
-        raise RuntimeError(f"run.py {workload} seed {seed} printed no result: {done.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    if done.returncode or result is None or not result["correct"]:
+        failures.append({
+            "revision": _git("rev-parse", "HEAD"),
+            "command": shlex.join(command),
+            "workload": workload,
+            "seed": seed,
+            "trace": trace,
+            "exit_code": done.returncode,
+            "stderr_tail": done.stderr.splitlines()[-20:],
+        })
+        return None
     host = dict(field.split("=", 1) for field in lines[0].split()[1:]) if lines[0].startswith("host ") else {}
     result["host"] = host
     result["notes"] = [line.strip() for line in lines if "input pool exhausted" in line]
@@ -108,17 +121,18 @@ def full_report_cost() -> dict:
     return {"alphas": SPHERE, **json.loads(done.stdout)}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_1.json"))
-    args = ap.parse_args()
-    workloads, host = {}, {}
+    args = ap.parse_args(argv)
+    workloads, host, failures = {}, {}, []
     for workload in WORKLOADS:
-        runs = [run_bench(workload, seed, 0) for seed in SEEDS]
-        traced = run_bench(workload, SEEDS[0], 1)
+        runs = [run_bench(workload, seed, 0, failures) for seed in SEEDS]
+        traced = run_bench(workload, SEEDS[0], 1, failures)
+        if traced is None or None in runs:
+            continue  # its failed runs are in ``failures``
         host = runs[0]["host"]
         workloads[workload] = {
-            "correct": all(run["correct"] for run in runs + [traced]),
             "failed": sum(run["failed"] for run in runs + [traced]),
             "end_to_end": end_to_end(runs),
             "per_layer": {name: m["value"] for name, m in traced["metrics"].items()},
@@ -138,12 +152,15 @@ def main() -> int:
         "workloads": workloads,
         "tier1": tier1(),
         "full_report": full_report_cost(),
+        "failures": failures,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
     print(f"wrote {args.out}")
-    return 0 if all(w["correct"] for w in workloads.values()) else 1
+    if failures:
+        print(f"{len(failures)} run(s) failed: see \"failures\" in {args.out}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
