@@ -129,7 +129,7 @@ def semigroup_block(link: Link) -> dict:
         "frobenius": link.ap.frobenius,
         "trivial": link.sf.trivial,
         "generators": minimal_generators(link),
-        "apery": list(link.ap.apery),
+        "apery": link.ap.apery,  # json writes a tuple as a list
         "gaps": link.ap.gaps,
     }
 
@@ -208,11 +208,7 @@ def cmd_semigroup(record: dict, out: dict, args) -> None:
             "modulePrincipal": rep.module_principal,
         }
     poin = poincare(link.sf, up_to)
-    out["poincare"] = {
-        "p0": list(poin.p0),
-        "p0Plus": list(poin.p0_plus),
-        "pg": poin.pg,
-    }
+    out["poincare"] = {"p0": poin.p0, "p0Plus": poin.p0_plus, "pg": poin.pg}  # json writes tuples as lists
 
 
 def cmd_laufer(record: dict, out: dict, args) -> None:

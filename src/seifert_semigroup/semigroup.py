@@ -16,15 +16,15 @@ module.  So a record costs O(d*(w - bottom)) plus its alpha-long Apery set.
 The module is S - alpha for orbit order one and one pass over the window
 otherwise.  The generators are sieved out of the Apery elements up to f + m,
 one C-level pass per generator, and symmetry follows from Selmer's gap
-count.  An integral homology sphere's S is strongly flat: its Apery set and
-generators are the theorem's closed forms, and it builds no window.  So each
-record has one Apery set, which ``batch`` prints and ``verify`` certifies
-against a brute scan of N.  The full-period table of N is read only by
-``verify``'s Gorenstein identities and the augmentation threshold.  Also
-here: the Apery set of a monoid given by generators, read the same way,
-strongly flat recognition, end-vertex projections of integral homology
-sphere semigroups and the Poincare series split into polynomial and negative
-parts.
+count.  An integral homology sphere's S is strongly flat: its Apery set,
+summed one leg at a time by the CRT, and its generators are the theorem's
+closed forms, and it builds no window.  So each record has one Apery set,
+which ``batch`` prints and ``verify`` certifies against a brute scan of N.
+The full-period table of N is read only by ``verify``'s Gorenstein
+identities and the augmentation threshold.  Also here: the Apery set of a
+monoid given by generators, read the same way, strongly flat recognition,
+end-vertex projections of integral homology sphere semigroups and the
+Poincare series split into polynomial and negative parts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import heapq
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import cached_property
 from itertools import chain, compress, count, cycle, islice, repeat
 from typing import Iterator, Sequence
 
@@ -345,13 +345,17 @@ def ihs_apery(alphas: Sequence[int]) -> tuple[int, ...]:
     """Ap(S, alpha) of the homology sphere with given alphas, by the strongly flat theorem: every integer
     is sum_i x_i*q_i + y*alpha, q_i = alpha/alpha_i and 0 <= x_i < alpha_i, in one way, and in S iff y >= 0.
 
-    So Ap[r] = sum_i ((r*u_i) mod alpha_i)*q_i, u_i = q_i^-1 mod alpha_i: a block of period alpha_i per leg.
+    So Ap[r] = sum_i ((r*u_i) mod alpha_i)*q_i, u_i = q_i^-1 mod alpha_i.  By the CRT the sum over legs 1..k has
+    period alpha_1*...*alpha_k, so leg k takes one add pass: the sum so far, repeated alpha_k times, plus its block
+    of alpha_k values, cycled.  That is about alpha*(1 + 1/alpha_d + ...) additions and no other alpha-long list.
     """
     alphas = check_alphas(alphas)
     alpha = math.prod(alphas)
-    units = (pow(alpha // a, -1, a) for a in alphas)
-    tiles = (islice(cycle([x % a * (alpha // a) for x in range(0, u * a, u)]), alpha) for a, u in zip(alphas, units))
-    return tuple(reduce(partial(map, operator.add), tiles))  # the elementwise sum of the tiles
+    ap = (0,)
+    for a in alphas:
+        q, u = alpha // a, pow(alpha // a, -1, a)
+        ap = tuple(map(operator.add, chain.from_iterable(repeat(ap, a)), cycle([r * u % a * q for r in range(a)])))
+    return ap
 
 
 @dataclass(frozen=True)

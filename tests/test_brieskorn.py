@@ -272,8 +272,8 @@ def test_full_report_classifies_and_sieves_a_bh_record_once(monkeypatch):
 
 
 def test_full_report_sieves_a_homology_sphere_bh_record(monkeypatch):
-    """For m = 1 in case (i), bh_generators and the printed list are both the theorem's, so the
-    report checks them against the sieve of the table's Ap: a theorem list short of a generator fails."""
+    """For m = 1 in case (i), bh_generators and the printed list are both the theorem's, so the report
+    checks them against the sieve of the theorem's Ap (ihs_theorem): a theorem list short of a generator fails."""
     from seifert_semigroup import semigroup
 
     assert full_report({"bh": [2, 3, 7]})["semigroup"]["generators"] == [6, 14, 21]

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -556,6 +558,43 @@ def test_homology_spheres_read_off_the_theorem_equal_the_table_and_the_sieve():
                 table = tuple(_apery_least(link, r) for r in range(link.inv.alpha))
                 assert link.ap.apery == table, alphas
                 assert minimal_generators(link) == _generators_from_apery(table), alphas
+
+
+def _tile_sum(alphas):
+    """The theorem's Ap as d alpha-long tiles, one block of alpha_i values per leg cycled over the period,
+    summed elementwise by d - 1 chained maps: the build that ihs_apery's leg-by-leg sum replaced."""
+    alpha = math.prod(alphas)
+    units = (pow(alpha // a, -1, a) for a in alphas)
+    tiles = (itertools.islice(itertools.cycle([x % a * (alpha // a) for x in range(0, u * a, u)]), alpha)
+             for a, u in zip(alphas, units))
+    return tuple(functools.reduce(functools.partial(map, operator.add), tiles))
+
+
+def _monoid_gap_flags(gens):
+    """1 at each gap of the monoid of ``gens`` in [0, f], read off its Dijkstra Apery set (monoid_apery)."""
+    apery = monoid_apery(gens)
+    m = len(apery)
+    return bytes(ell < apery[ell % m] for ell in range(max(apery) - m + 1))
+
+
+def test_ihs_apery_is_certified_by_dijkstra_and_equals_the_tile_sum():
+    """The leg-by-leg Ap of a sphere passes apery_certificate against the gap flags of the monoid of its
+    generators q_i, read off monoid_apery, which shares nothing with the theorem or with N; and it equals the
+    tile sum.  Seeded alphas for d = 3..5, fixed ones for d = 6 (all holding 2), each also in a permuted
+    order; and alpha = 216,752 against the tile sum alone."""
+    from seifert_semigroup.verification import apery_certificate, random_coprime_alphas
+
+    rng = seeded_rng(47)
+    cases = [random_coprime_alphas(rng, d, max_alpha=m, product_cap=50_000) for d, m in ((3, 40), (4, 25), (5, 19))
+             for _ in range(4)]
+    cases += [(2, 3, 5, 7, 11, 13), (2, 3, 5, 7, 11, 19), (2, 3, 5, 7, 13, 17)]
+    for alphas in cases:
+        flags = _monoid_gap_flags(ihs_generators(alphas))
+        for order in (alphas, tuple(rng.sample(alphas, len(alphas)))):
+            apery = semigroup.ihs_apery(order)
+            apery_certificate(apery, flags)
+            assert apery == _tile_sum(order), order
+    assert semigroup.ihs_apery((16, 19, 23, 31)) == _tile_sum((16, 19, 23, 31))
 
 
 def test_minimal_generators_make_no_membership_calls(sf_asym5, monkeypatch):
