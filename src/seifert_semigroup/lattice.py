@@ -316,9 +316,14 @@ def _solve(g: StarGraph, rhs: Sequence[int]) -> RationalCycle:
     return RationalCycle(tuple(x), det)
 
 
+def dual_sum(g: StarGraph, ks: Sequence[int]) -> RationalCycle:
+    """sum_v ks[v]*E_v^*, for integer ks, by one solve of I x = -ks."""
+    return _solve(g, [-k for k in ks])
+
+
 def dual_cycle(g: StarGraph, v: int) -> RationalCycle:
     """E_v^*, the anti-dual of the base element E_v: (E_v^*, E_w) = -delta_{vw}."""
-    return _solve(g, [-1 if u == v else 0 for u in range(g.n)])
+    return dual_sum(g, [1 if u == v else 0 for u in range(g.n)])
 
 
 def dual_basis(g: StarGraph) -> tuple[RationalCycle, ...]:

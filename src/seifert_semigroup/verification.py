@@ -24,10 +24,10 @@ from .lattice import (
     canonical_cycle,
     class_rep,
     dual_basis,
+    dual_sum,
     group_order,
     pairing_with_vertex,
     vertex_pairings,
-    zero_cycle,
 )
 from .seifert import SeifertData, ceil_div, floor_frac, quasilinear
 from .semigroup import (
@@ -69,15 +69,22 @@ def ihs_theorem(link: Link) -> list[int]:
 def apery_certificate(apery: tuple[int, ...], gaps: bytes) -> None:
     """Ap(S, alpha), alpha = len(apery), entry by entry against ``gaps``, the flags of
     :func:`~seifert_semigroup.semigroup.gap_window` (1 at each gap of S from ell = 0, none past them):
-    Ap[r] = r (mod alpha), Ap[r] is in S and Ap[r] - alpha is not.  Else VerificationError naming a class."""
+    Ap[r] = r (mod alpha), Ap[r] is in S and Ap[r] - alpha is not.  Else VerificationError naming a class.
+
+    Past the flags, at r >= head = min(len(gaps), alpha), the least element of S in class r is r itself
+    (r is past every gap and r - alpha < 0), so there the three tests hold exactly when Ap[r] == r: the
+    tail is compared with range(head, alpha) in one pass, and only the head is tested entry by entry."""
     alpha = len(apery)
+    head = min(len(gaps), alpha)
     top = len(gaps) + alpha  # ell - alpha is in S for every ell >= top
     outside = b"\1" * alpha + gaps + bytes(alpha)  # outside[ell + alpha] = 1 iff ell is not in S, -alpha <= ell < top
+    ap = apery[:head]
     if (
-        0 <= min(apery) <= max(apery) < top
-        and all(map(operator.eq, map(operator.mod, apery, repeat(alpha)), range(alpha)))
-        and not any(map(outside.__getitem__, map(alpha.__add__, apery)))
-        and all(map(outside.__getitem__, apery))
+        all(map(operator.eq, apery[head:], range(head, alpha)))
+        and 0 <= min(ap, default=0) <= max(ap, default=0) < top
+        and all(map(operator.eq, map(operator.mod, ap, repeat(alpha)), range(head)))
+        and not any(map(outside.__getitem__, map(alpha.__add__, ap)))
+        and all(map(outside.__getitem__, ap))
     ):
         return
     r = next(r for r, x in enumerate(apery)
@@ -124,7 +131,8 @@ def random_seifert(
 
 def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, product_cap: int = 20_000):
     """Seeded random pairwise-coprime tuple of d alphas in [2, max_alpha] with product at most
-    ``product_cap``; ValueError after ``MAX_DRAWS`` alphas (or, for d = 0, tuples) are drawn."""
+    ``product_cap``; ValueError after ``MAX_DRAWS`` alphas (or, for d = 0, tuples) are drawn.
+    A tuple that no alpha in range is coprime to is dropped at its next rejected draw."""
     draws = 0
     for _ in range(MAX_DRAWS):
         alphas = []
@@ -133,6 +141,8 @@ def random_coprime_alphas(rng: random.Random, d: int, max_alpha: int = 25, produ
             a = rng.randint(2, max_alpha)
             if all(math.gcd(a, b) == 1 for b in alphas):
                 alphas.append(a)
+            elif all(math.gcd(c, math.prod(alphas)) > 1 for c in range(2, max_alpha + 1)):
+                break  # a dead end: start a new tuple
         if len(alphas) == d and math.prod(alphas) <= product_cap:
             return tuple(alphas)
     raise ValueError(
@@ -186,32 +196,34 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
 
     alpha, o = inv.alpha, inv.orbit_order
     sample = sorted(rng.sample(range(0, 3 * alpha + 1), min(60, 3 * alpha + 1)))
+    values = [quasilinear(sf, ell) for ell in sample]  # N on the sample, read by the next two checks
     check(
         "quasi_periodicity",
-        all(quasilinear(sf, ell + alpha) == quasilinear(sf, ell) + o for ell in sample),
+        all(quasilinear(sf, ell + alpha) == n + o for ell, n in zip(sample, values)),
         "N(ell + alpha) != N(ell) + o",
     )
     lo_bound = -(alpha - 1) * (-inv.e) - sf.d
-    diffs = ((ell % alpha, quasilinear(sf, ell) - ceil_div(ell, alpha) * o) for ell in sample)
+    diffs = ((ell % alpha, n - ceil_div(ell, alpha) * o) for ell, n in zip(sample, values))
     check("quasilinear_bounds", all(lo_bound <= diff <= -1 if r else diff == 0 for r, diff in diffs),
           "N(ell) - ceil(ell/alpha)*o out of range")
     probe = rng.sample(range(inv.window + 1, inv.window + 2 * alpha + 1), min(40, 2 * alpha))
     check("nonnegative_beyond_window", all(quasilinear(sf, ell) >= 0 for ell in probe),
           "N < 0 beyond floor(gamma + alpha/o)")
 
-    # tie-break invariance of the computation sequence on a few random starts
+    # tie-break invariance of the computation sequence on three starts, [Z_K] or the class of
+    # sum_v k_v*E_v^* with k_v drawn from {0, 1, 2}: the min and max runs, which draw nothing,
+    # run once per distinct start; the traced random run is made on every draw
     ok = True
+    bulk = {}  # start -> {min endpoint, max endpoint}
     for _ in range(3):
         if rng.random() < 0.5:
             start_cycle = class_rep(zk)
         else:
-            start_cycle = class_rep(sum((rng.randint(0, 2) * d for d in duals), zero_cycle(g.n)))
-        endpoints = {
-            laufer.to_antinef(g, start_cycle, strategy="min")[0],
-            laufer.to_antinef(g, start_cycle, strategy="max")[0],
-            laufer.to_antinef(g, start_cycle, strategy="random", rng=rng, trace=True)[0],
-        }
-        ok &= len(endpoints) == 1
+            start_cycle = class_rep(dual_sum(g, [rng.randint(0, 2) for _ in range(g.n)]))
+        if start_cycle not in bulk:
+            bulk[start_cycle] = {laufer.to_antinef(g, start_cycle, strategy=way)[0] for way in ("min", "max")}
+        traced = laufer.to_antinef(g, start_cycle, strategy="random", rng=rng, trace=True)[0]
+        ok &= bulk[start_cycle] == {traced}
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")
 
     # theorem vs brute force: the Apery set against one brute scan of N over [0, floor(gamma + alpha/o)]

@@ -235,3 +235,37 @@ def test_the_apery_certificate_refuses_each_kind_of_wrong_entry(sf_asym5):
         wrong = apery[:r] + (moved,) + apery[r + 1:]
         with pytest.raises(VerificationError, match=rf"^Ap\[{r}\] = {moved} is not the least element"):
             apery_certificate(wrong, gaps)
+
+
+def test_the_apery_certificate_refuses_each_kind_of_wrong_entry_in_the_tail(sf_asym5):
+    """Past the gap flags (r >= 26 on sf_asym5, alpha = 40) Ap[r] = r, and the tail's one-pass comparison
+    refuses the same five kinds of wrong entry as the head, naming the class; a fault in the head and one
+    in the tail name the head class."""
+    from seifert_semigroup.verification import apery_certificate
+
+    apery, gaps = Link(sf_asym5).ap.apery, semigroup.gap_window(sf_asym5)
+    assert len(gaps) == 26 and apery[26:] == tuple(range(26, 40))
+    r = 39
+    for moved in (apery[r] + 40, apery[r] - 40, -40 + r, apery[r] + 1, 10**18 + r):
+        wrong = apery[:r] + (moved,) + apery[r + 1:]
+        with pytest.raises(VerificationError, match=rf"^Ap\[{r}\] = {moved} is not the least element"):
+            apery_certificate(wrong, gaps)
+    head = next(h for h, x in enumerate(apery) if x >= 40)
+    wrong = apery[:head] + (apery[head] + 40,) + apery[head + 1:r] + (r + 40,)
+    with pytest.raises(VerificationError, match=rf"^Ap\[{head}\] = {apery[head] + 40} is not"):
+        apery_certificate(wrong, gaps)
+
+
+def test_the_apery_certificate_passes_records_with_no_tail_or_no_head():
+    """A sphere's flags reach past alpha, so it has no tail; a trivial record's Ap is all tail but
+    Ap[0]; with no flags at all every class is tail."""
+    from seifert_semigroup.verification import apery_certificate
+
+    sphere, trivial = seifert.ihs_from_alphas((2, 3, 7)), SeifertData(10, ((2, 1), (3, 1), (7, 1)))
+    for sf in (sphere, trivial):
+        apery, gaps = Link(sf).ap.apery, semigroup.gap_window(sf)
+        apery_certificate(apery, gaps)
+    assert len(semigroup.gap_window(sphere)) > 42 and len(semigroup.gap_window(trivial)) == 1
+    apery_certificate(tuple(range(42)), b"")
+    with pytest.raises(VerificationError, match=r"^Ap\[5\] = 47 is not"):
+        apery_certificate((*range(5), 47, *range(6, 42)), b"")
