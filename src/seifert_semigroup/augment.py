@@ -26,7 +26,7 @@ from itertools import compress, islice, repeat
 
 from . import laufer
 from .errors import VerificationError
-from .lattice import RationalCycle, canonical_cycle, dual_basis, unit_cycle, vertex_pairings, zero_cycle
+from .lattice import RationalCycle, canonical_cycle, dual_sum, unit_cycle, vertex_pairings
 from .seifert import SeifertData, floor_frac, quasilinear_values, require_int
 from .semigroup import Link
 
@@ -56,10 +56,10 @@ class AugmentedPair:
         return RationalCycle(l.num + (0,), l.den)
 
     def project(self, lp: RationalCycle) -> RationalCycle:
-        """j*: decompose in the augmented dual basis, drop E_+, map duals back."""
+        """j*: decompose in the augmented dual basis, drop E_+, map duals back, in one base solve."""
         g = self.base.graph
-        weights = vertex_pairings(self.augmented.graph, lp.num)  # lp.den * (lp, E_v); map drops E_+
-        return sum(map(operator.mul, weights, dual_basis(g)), zero_cycle(g.n)) * Fraction(-1, lp.den)
+        weights = vertex_pairings(self.augmented.graph, lp.num)  # lp.den * (lp, E_v), the last one E_+'s
+        return dual_sum(g, weights[:g.n]) * Fraction(-1, lp.den)
 
 
 def augment(sf: SeifertData, n: int) -> AugmentedPair:

@@ -10,8 +10,9 @@ read it from a file, or ``-`` for stdin.  A record carries exactly one of:
 plus an optional "id".  Rationals are rendered as "p/q" strings (reduced,
 positive denominator, integers without "/1").  The five JSON commands are
 bodies that fill the result object of a parsed record; :func:`_run` reads,
-parses and prints.  Exit codes: 0 on success, 1 on hard input errors (usage
-errors included), 2 on verification failures.
+parses and prints it through :func:`encode`, as `batch` does.  Exit codes: 0
+on success, 1 on hard input errors (usage errors included), 2 on verification
+failures.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
@@ -129,9 +131,46 @@ def semigroup_block(link: Link) -> dict:
         "frobenius": link.ap.frobenius,
         "trivial": link.sf.trivial,
         "generators": minimal_generators(link),
-        "apery": link.ap.apery,  # json writes a tuple as a list
+        "apery": link.ap.apery,  # printed by encode: the head in one %-format, the tail r -> r in hundreds
         "gaps": link.ap.gaps,
     }
+
+
+# The text of the hundred [100p, 100p + 100) for p >= 1, with str(p) for X.
+_HUNDRED = ", ".join(map("X%02d".__mod__, range(100)))
+
+
+def _range_text(lo: int, hi: int) -> str:
+    """", ".join(map(str, range(lo, hi))), with each full hundred [100p, 100p + 100), p >= 1, one replace."""
+    first, last = max(1, -(-lo // 100)), hi // 100
+    if first >= last:
+        return ", ".join(map(str, range(lo, hi)))
+    blocks = map(_HUNDRED.replace, repeat("X"), map(str, range(first, last)))
+    ends = ", ".join(map(str, range(lo, 100 * first))), ", ".join(map(str, range(100 * last, hi)))
+    return ", ".join(filter(None, (ends[0], *blocks, ends[1])))
+
+
+def _apery_text(apery: tuple[int, ...]) -> str:
+    """json.dumps(apery): the head in one %-format pass, then the run Ap[r] = r from a
+    :class:`~seifert_semigroup.semigroup.WindowApery`'s ``tail`` on (a plain tuple has none)."""
+    alpha = len(apery)
+    w = getattr(apery, "tail", alpha)
+    head = ("%d, " * w % (apery if w == alpha else apery[:w]))[:-2]
+    return "[" + ", ".join(filter(None, (head, _range_text(w, alpha)))) + "]"
+
+
+def _object_text(obj: dict, key: str, text: str) -> str:
+    """json.dumps(obj), with ``text`` for the value at ``key``."""
+    return "{" + ", ".join(json.dumps(k) + ": " + (text if k == key else json.dumps(v)) for k, v in obj.items()) + "}"
+
+
+def encode(out: dict) -> str:
+    """json.dumps(out), the one line a JSON command or a `batch` record prints: the Apery list of
+    ``out["semigroup"]``, 99 % of a report's bytes, is written by :func:`_apery_text`, not one str per entry."""
+    semi = out.get("semigroup")
+    if not (isinstance(semi, dict) and isinstance(semi.get("apery"), tuple)):
+        return json.dumps(out)
+    return _object_text(out, "semigroup", _object_text(semi, "apery", _apery_text(semi["apery"])))
 
 
 def full_report(record: dict) -> dict:
@@ -302,7 +341,7 @@ def _batch_one(line: str) -> tuple[str, int]:
     obj = None
     try:
         obj = json.loads(line)
-        return json.dumps(full_report(parse_record(obj))), EXIT_OK
+        return encode(full_report(parse_record(obj))), EXIT_OK
     except Exception as ex:  # noqa: BLE001 - per-record error reporting
         ident = obj.get("id", "") if isinstance(obj, dict) else ""
         code = EXIT_VERIFY if isinstance(ex, VerificationError) else EXIT_INPUT
@@ -364,7 +403,7 @@ def _run(body, args) -> int:
     record = parse_record(json.loads(_read_record(args.record)))
     out = _start(record)
     body(record, out, args)
-    print(json.dumps(out))
+    print(encode(out))
     return EXIT_OK
 
 

@@ -52,6 +52,14 @@ from .seifert import (
 )
 
 
+class WindowApery(tuple):
+    """Ap(S, alpha) as :func:`apery_selmer` builds it off the gap window: the head Ap[r], r < ``tail``, then
+    Ap[r] = r for ``tail`` <= r < alpha, ``tail`` = ``Link.w``.  A writer may print that run as the range it is;
+    a homology sphere's Ap, the theorem's, is a plain tuple with no such run."""
+
+    tail: int
+
+
 @dataclass(frozen=True)
 class AperyData:
     apery: tuple[int, ...]
@@ -212,7 +220,8 @@ def apery_selmer(link: Link) -> AperyData:
     alpha, o, w = link.inv.alpha, link.inv.orbit_order, link.w
     steps = islice(link.window, -link.bottom, None)
     steps = steps if o == 1 else map(operator.floordiv, steps, repeat(o))
-    apery = tuple(chain(map(operator.sub, range(w), map(alpha.__mul__, steps)), range(w, alpha)))
+    apery = WindowApery(chain(map(operator.sub, range(w), map(alpha.__mul__, steps)), range(w, alpha)))
+    apery.tail = w
     return AperyData(
         apery=apery,
         frobenius=max(max(islice(apery, w)), alpha - 1) - alpha,

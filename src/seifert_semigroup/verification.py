@@ -212,16 +212,19 @@ def verify_seifert(sf: SeifertData, rng: random.Random) -> list[CheckResult]:
 
     # tie-break invariance of the computation sequence on three starts, [Z_K] or the class of
     # sum_v k_v*E_v^* with k_v drawn from {0, 1, 2}: the min and max runs, which draw nothing,
-    # run once per distinct start; the traced random run is made on every draw
+    # run once per distinct start, and the min run from [Z_K] is the one the Laufer scalars made;
+    # the traced random run is made on every draw
     ok = True
+    zk_rep = class_rep(zk)
     bulk = {}  # start -> {min endpoint, max endpoint}
     for _ in range(3):
         if rng.random() < 0.5:
-            start_cycle = class_rep(zk)
+            start_cycle = zk_rep
         else:
             start_cycle = class_rep(dual_sum(g, [rng.randint(0, 2) for _ in range(g.n)]))
         if start_cycle not in bulk:
-            bulk[start_cycle] = {laufer.to_antinef(g, start_cycle, strategy=way)[0] for way in ("min", "max")}
+            low = g.scalars.s_cycle if start_cycle == zk_rep else laufer.to_antinef(g, start_cycle)[0]
+            bulk[start_cycle] = {low, laufer.to_antinef(g, start_cycle, strategy="max")[0]}
         traced = laufer.to_antinef(g, start_cycle, strategy="random", rng=rng, trace=True)[0]
         ok &= bulk[start_cycle] == {traced}
     check("tie_break_invariance", ok, "computation sequence endpoint depends on vertex choices")

@@ -63,9 +63,11 @@ def test_the_tree_solve_start_equals_the_sum_of_scaled_duals():
 
 
 def test_verify_runs_min_and_max_once_per_distinct_start(sf_asym5, monkeypatch):
-    """One verify_seifert makes three traced random runs and one min and one max run per distinct start;
-    over seeds 0-7 some record draws a start twice, so the saving is exercised."""
+    """One verify_seifert makes three traced random runs, one max run per distinct start and one min run
+    per distinct start but [Z_K], whose min endpoint is the Laufer scalars' s_[Z_K]; over seeds 0-7 some
+    record draws a start twice and some draws [Z_K], so both savings are exercised."""
     real, calls = laufer.to_antinef, []
+    zk_rep = class_rep(sf_asym5.graph.zk)
 
     def counting(g, start, **kwargs):
         calls.append((g, start, kwargs.get("strategy", "min"), kwargs.get("trace", False)))
@@ -73,7 +75,7 @@ def test_verify_runs_min_and_max_once_per_distinct_start(sf_asym5, monkeypatch):
 
     sf_asym5.graph.scalars  # the Laufer scalars make two min runs of their own; they are kept on the graph
     monkeypatch.setattr(laufer, "to_antinef", counting)
-    repeats = 0
+    repeats = from_scalars = 0
     for seed in range(8):
         calls.clear()
         results = verify_seifert(sf_asym5, random.Random(seed))
@@ -83,9 +85,10 @@ def test_verify_runs_min_and_max_once_per_distinct_start(sf_asym5, monkeypatch):
         starts = set(randoms)
         assert len(randoms) == 3
         assert Counter((start, way) for start, way, _ in mine if way != "random") == Counter(
-            (start, way) for start in starts for way in ("min", "max"))
+            (start, way) for start in starts for way in (("max",) if start == zk_rep else ("min", "max")))
         repeats += len(starts) < 3
-    assert repeats
+        from_scalars += zk_rep in starts
+    assert repeats and from_scalars
 
 
 def _old_random_coprime_alphas(rng, d, max_alpha=25, product_cap=20_000):
