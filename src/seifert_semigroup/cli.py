@@ -24,7 +24,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import laufer, verification
 from .brieskorn import NOT_QHS, BHClassification, bh_generators, bh_seifert, check_generators, classify
@@ -131,7 +131,7 @@ def semigroup_block(link: Link) -> dict:
         "frobenius": link.ap.frobenius,
         "trivial": link.sf.trivial,
         "generators": minimal_generators(link),
-        "apery": link.ap.apery,  # printed by encode: the head in one %-format, the tail r -> r in hundreds
+        "apery": link.ap.apery,  # encode prints it: the head in one %-format pass, the run Ap[r] = r in hundreds
         "gaps": link.ap.gaps,
     }
 
@@ -150,27 +150,31 @@ def _range_text(lo: int, hi: int) -> str:
     return ", ".join(filter(None, (ends[0], *blocks, ends[1])))
 
 
-def _apery_text(apery: tuple[int, ...]) -> str:
-    """json.dumps(apery): the head in one %-format pass, then the run Ap[r] = r from a
-    :class:`~seifert_semigroup.semigroup.WindowApery`'s ``tail`` on (a plain tuple has none)."""
-    alpha = len(apery)
-    w = getattr(apery, "tail", alpha)
-    head = ("%d, " * w % (apery if w == alpha else apery[:w]))[:-2]
-    return "[" + ", ".join(filter(None, (head, _range_text(w, alpha)))) + "]"
-
-
-def _object_text(obj: dict, key: str, text: str) -> str:
-    """json.dumps(obj), with ``text`` for the value at ``key``."""
-    return "{" + ", ".join(json.dumps(k) + ": " + (text if k == key else json.dumps(v)) for k, v in obj.items()) + "}"
+def _object_format(obj: dict, key: str, slot: str) -> str:
+    """json.dumps(obj) as a %-format: ``slot`` for the value at ``key``, every other key and value with % doubled."""
+    return "{" + ", ".join(
+        json.dumps(k).replace("%", "%%") + ": " + (slot if k == key else json.dumps(v).replace("%", "%%"))
+        for k, v in obj.items()
+    ) + "}"
 
 
 def encode(out: dict) -> str:
-    """json.dumps(out), the one line a JSON command or a `batch` record prints: the Apery list of
-    ``out["semigroup"]``, 99 % of a report's bytes, is written by :func:`_apery_text`, not one str per entry."""
+    """json.dumps(out), the one line a JSON command or a `batch` record prints.
+
+    The Apery list of ``out["semigroup"]``, 99 % of a report's bytes, makes no str per entry: the line
+    is one %-format pass, with a %d per head entry Ap[r], r < w, and one %s for the text of the run
+    Ap[r] = r, w <= r < alpha, that :func:`_range_text` writes in hundreds.  The run is a
+    :class:`~seifert_semigroup.semigroup.WindowApery`'s from its ``tail`` on; a plain tuple, a sphere's, has none.
+    """
     semi = out.get("semigroup")
     if not (isinstance(semi, dict) and isinstance(semi.get("apery"), tuple)):
         return json.dumps(out)
-    return _object_text(out, "semigroup", _object_text(semi, "apery", _apery_text(semi["apery"])))
+    apery = semi["apery"]
+    alpha = len(apery)
+    w = getattr(apery, "tail", alpha)
+    slots = chain(repeat("%d", w), ("%s",) if w < alpha else ())
+    fmt = _object_format(out, "semigroup", _object_format(semi, "apery", "[" + ", ".join(slots) + "]"))
+    return fmt % (apery if w == alpha else (*apery[:w], _range_text(w, alpha)))
 
 
 def full_report(record: dict) -> dict:

@@ -1,10 +1,11 @@
 """The line a report prints: :func:`cli.encode` against ``json.dumps``.
 
-``encode`` writes Ap(S, alpha) without one ``str`` per entry: the head in one
-%-format pass and, on an Ap built off the gap window, the run Ap[r] = r from
-its ``tail`` on as hundred-blocks of one template.  Every other value, and a
-report with no Apery list, goes through ``json.dumps``.  So the text must be
-``json.dumps(out)`` byte for byte, on any head and any tail start.
+``encode`` writes Ap(S, alpha) without one ``str`` per entry: the line is one
+%-format pass, a %d per head entry and, on an Ap built off the gap window, one
+%s for the run Ap[r] = r from its ``tail`` on, written as hundred-blocks of one
+template.  Every other value, with its % doubled, and a report with no Apery
+list go through ``json.dumps``.  So the text must be ``json.dumps(out)`` byte
+for byte, on any head, any tail start and any key or value holding a %.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ JSON_SCALARS = st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.flo
 JSON_VALUES = st.recursive(
     JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12
 )
-IDS = ["plain", 'say "hi" \\ there', "Selmer–Apéry ∑ 非", 7, -3.5, 1e300, True, False, None, [1, "a", None], {"k": [2]}]
+IDS = ["plain", 'say "hi" \\ there', "100%% %d %s", "Selmer–Apéry ∑ 非", 7, -3.5, 1e300, True, False, None, [1, "a", None], {"k": [2]}]
 
 
 def window_apery(head, alpha: int) -> WindowApery:
