@@ -19,9 +19,12 @@ from seifert_semigroup.semigroup import Link, WindowApery
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers(-10**20, 10**20) | st.floats(allow_nan=False) | st.text()
 JSON_VALUES = st.recursive(
-    JSON_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4), max_leaves=12
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
 )
-IDS = ["plain", 'say "hi" \\ there', "100%% %d %s", "Selmer–Apéry ∑ 非", 7, -3.5, 1e300, True, False, None, [1, "a", None], {"k": [2]}]
+IDS = ["plain", 'say "hi" \\ there', "100%% %d %s", "Selmer–Apéry ∑ 非",
+       7, -3.5, 1e300, True, False, None, [1, "a", None], {"k": [2]}]
 
 
 def window_apery(head, alpha: int) -> WindowApery:
@@ -84,15 +87,17 @@ def test_batch_prints_spheres_bh_and_trivial_records_as_json_dumps():
         _batch_matches({"id": f"ihs{alphas}", "alphas": alphas})
     for bh in ([2, 3, 7], [2, 3, 5], [6, 10, 7], [6, 10, 14]):
         _batch_matches({"id": "bh", "bh": bh})
-    for b0, legs in ((2, [[3, 2], [12, 7], [11, 5]]), (3, [[4, 1], [6, 1], [10, 1]]), (1, [[5, 1], [5, 1], [7, 1], [10, 1]])):
+    seifert = ((2, [[3, 2], [12, 7], [11, 5]]), (3, [[4, 1], [6, 1], [10, 1]]), (1, [[5, 1], [5, 1], [7, 1], [10, 1]]))
+    for b0, legs in seifert:
         _batch_matches({"id": "sf", "seifert": {"b0": b0, "legs": legs}})
     trivial = Link(SeifertData(3, ((4, 1), (6, 1), (10, 1))))
     assert trivial.sf.trivial and trivial.ap.apery.tail == 1 and trivial.ap.apery == tuple(range(60))
 
 
 def test_batch_prints_every_json_id():
+    seifert = {"b0": 2, "legs": [[3, 2], [12, 7], [11, 5]]}
     for ident in IDS:
-        for record in ({"id": ident, "alphas": [2, 3, 7]}, {"id": ident, "seifert": {"b0": 2, "legs": [[3, 2], [12, 7], [11, 5]]}}):
+        for record in ({"id": ident, "alphas": [2, 3, 7]}, {"id": ident, "seifert": seifert}):
             full = _batch_matches(record)
             assert json.loads(cli._batch_one(json.dumps(record))[0])["id"] == ident == full["id"]
 
